@@ -13,7 +13,7 @@ runtime so database tricks apply.  PR 4 cashes in two of them:
   `for e in entities(...)` update loops to one batched read + one bulk
   write-back per component (`world.update_batch`).
 
-Three cells, each scaling in entity count:
+Four cells, the first three scaling in entity count:
 
 * **query** — a residual-heavy scan query: tuple-at-a-time with the
   planner re-run every call (``fresh``), tuple-at-a-time with the plan
@@ -22,12 +22,19 @@ Three cells, each scaling in entity count:
   is a visible fraction of the work, plus the cache's own hit counters;
 * **script** — the E1-style per-tick update script, interpreter
   (``batch="off"``) vs lowered set-at-a-time (``batch="auto"``), with a
-  ``state_hash`` equality check pinning bit-identical results.
+  ``state_hash`` equality check pinning bit-identical results;
+* **shard tick** — a 4-shard cluster (migrations, cross-shard
+  transfers) running the same drift arithmetic as a tuple-at-a-time
+  per-entity system and as a batch system over the Position columns.
+  Identical float operations in both, so the cluster ``state_hash``
+  matches bit for bit and ``shard_batch_vs_tuple`` isolates the one
+  variable that paid in the retired E18: the formulation.
 
 Expected shape: batched query execution well over 2× tuple-at-a-time at
 10k entities, the lowered script an order of magnitude faster than the
-interpreter, a warm cache planning each shape exactly once, and every
-mode returning identical results.
+interpreter, a warm cache planning each shape exactly once, the batch
+shard tick ≥ 2× the tuple one, and every mode returning identical
+results.
 
 ``--out foo.json`` writes the machine-readable per-run artifact that
 ``check_regression.py`` compares against the committed baseline.
@@ -44,8 +51,12 @@ from bench_common import (
     wall_time,
 )
 
+from repro.cluster import ClusterCoordinator, StaticGridPlacement
+from repro.consistency.partition import StaticGridPartitioner
 from repro.core import F, GameWorld, schema
 from repro.scripting import add_script_system
+from repro.spatial.geometry import AABB
+from repro.workloads.hotspot import cluster_schemas, transfer_spec
 
 UPDATE_SRC = """
 for e in entities("Unit"):
@@ -167,10 +178,77 @@ def run_script_cell(n: int, ticks: int = 3, seed: int = 1):
     return t_scalar / ticks, t_batched / ticks, equal, system.batched_runs
 
 
+# -- shard cell ------------------------------------------------------------------
+
+def _drift(world, eid, dt):
+    pos = world.get(eid, "Position")
+    world.set(eid, "Position", x=pos["x"] + 0.9, y=pos["y"] + 0.4)
+
+
+def _drift_batch(world, ids, cols, dt):
+    return {
+        "Position.x": [x + 0.9 for x in cols["Position.x"]],
+        "Position.y": [y + 0.4 for y in cols["Position.y"]],
+    }
+
+
+def build_cluster(entities: int, seed: int, batch: bool):
+    placement = StaticGridPlacement(
+        StaticGridPartitioner(AABB(0, 0, 800, 800), 2, 2, 4)
+    )
+    coord = ClusterCoordinator(4, placement, cluster_schemas(), seed=seed)
+    rng = random.Random(seed + 17)
+    eids = [
+        coord.spawn({
+            "Position": {"x": rng.uniform(0, 800), "y": rng.uniform(0, 800)},
+            "Wealth": {},
+        })
+        for _ in range(entities)
+    ]
+    if batch:
+        coord.add_batch_system(
+            "drift", reads=["Position.x", "Position.y"], fn=_drift_batch,
+            writes=["Position.x", "Position.y"],
+        )
+    else:
+        coord.add_per_entity_system("drift", ["Position"], _drift)
+    return coord, eids, rng
+
+
+def run_cluster_ticks(coord, eids, rng, ticks: int):
+    for t in range(ticks):
+        if t % 4 == 0:
+            a, b = rng.sample(eids, 2)
+            coord.submit(transfer_spec(a, b, 2))
+        coord.tick()
+    coord.quiesce()
+
+
+def run_shard_cell(entities: int = 5000, ticks: int = 30, seed: int = 1):
+    """(t_tuple, t_batch) per tick; asserts equal cluster state hashes.
+
+    Best-of-2 over the same tick count, so one scheduling hiccup cannot
+    fail the absolute floor; hashes still line up because each variant
+    advances the same total number of ticks with its own
+    identically-seeded rng.
+    """
+    times, hashes = [], []
+    for batch in (False, True):
+        coord, eids, rng = build_cluster(entities, seed, batch)
+        t = wall_time(
+            lambda: run_cluster_ticks(coord, eids, rng, ticks), repeats=2
+        )
+        times.append(t / ticks)
+        hashes.append(coord.state_hash())
+    assert hashes[0] == hashes[1], "batch shard tick must be bit-identical"
+    return times[0], times[1]
+
+
 # -- report ----------------------------------------------------------------------
 
-def run_experiment(sizes=(1000, 4000, 10000), seed=1):
-    """Both tables plus the relative metrics the regression gate tracks."""
+def run_experiment(sizes=(1000, 4000, 10000), seed=1, shard_entities=5000,
+                   shard_ticks=30):
+    """All tables plus the relative metrics the regression gate tracks."""
     qtable = BenchTable(
         "E17a: scan query, tuple-at-a-time vs plan cache vs batched",
         ["n", "t_fresh_ms", "t_cached_ms", "t_batched_ms",
@@ -202,14 +280,24 @@ def run_experiment(sizes=(1000, 4000, 10000), seed=1):
             n, t_scalar * 1e3, t_b * 1e3,
             t_scalar / t_b if t_b else float("inf"), equal,
         )
+    ctable = BenchTable(
+        "E17d: 4-shard cluster tick, tuple-at-a-time vs batch drift system",
+        ["entities", "t_tuple_ms", "t_batch_ms", "speedup"],
+    )
+    t_tuple, t_batch = run_shard_cell(shard_entities, shard_ticks, seed)
+    ctable.add_row(
+        shard_entities, t_tuple * 1e3, t_batch * 1e3,
+        t_tuple / t_batch if t_batch else float("inf"),
+    )
     metrics = {
         "query_batch_speedup": qtable.column("batch_speedup")[-1],
         "plan_cache_speedup": ptable.column("cache_speedup")[-1],
         "plan_cache_hit_rate": min(ptable.column("hit_rate")),
         "script_batch_speedup": stable.column("script_speedup")[-1],
         "hash_equal": all(stable.column("hash_equal")),
+        "shard_batch_vs_tuple": ctable.column("speedup")[-1],
     }
-    return {"tables": [qtable, ptable, stable], "metrics": metrics,
+    return {"tables": [qtable, ptable, stable, ctable], "metrics": metrics,
             "sizes": list(sizes)}
 
 
@@ -224,8 +312,8 @@ def to_payload(result, seed):
     }
 
 
-def print_report(sizes=(1000, 4000, 10000), seed=1) -> None:
-    result = run_experiment(sizes=sizes, seed=seed)
+def print_report(sizes=(1000, 4000, 10000), seed=1, **shard) -> None:
+    result = run_experiment(sizes=sizes, seed=seed, **shard)
     for table in result["tables"]:
         table.print()
     m = result["metrics"]
@@ -237,6 +325,8 @@ def print_report(sizes=(1000, 4000, 10000), seed=1) -> None:
     print(f"lowered script speedup at n={sizes[-1]}: "
           f"{m['script_batch_speedup']:.2f}x, "
           f"state hashes equal: {m['hash_equal']}")
+    print(f"batch vs tuple shard tick: {m['shard_batch_vs_tuple']:.2f}x "
+          f"(floor 2x; cluster state hashes asserted equal)")
     print("-> the optimizer runs once per query shape, residual filters "
           "run as vector passes over the columns, and the canonical "
           "update loop becomes one batched read plus one bulk write.")
@@ -289,12 +379,14 @@ def test_e17_shape_holds(benchmark):
     """The headline assertions, at CI-friendly sizes."""
 
     def check():
-        result = run_experiment(sizes=(500, 2000))
+        result = run_experiment(sizes=(500, 2000), shard_entities=1000,
+                                shard_ticks=12)
         m = result["metrics"]
         assert m["hash_equal"], "lowered script must be bit-identical"
         assert m["script_batch_speedup"] >= 2.0, m["script_batch_speedup"]
         assert m["query_batch_speedup"] >= 2.0, m["query_batch_speedup"]
         assert m["plan_cache_hit_rate"] > 0.99, m["plan_cache_hit_rate"]
+        assert m["shard_batch_vs_tuple"] >= 2.0, m["shard_batch_vs_tuple"]
         return m
 
     benchmark.pedantic(check, rounds=1, iterations=1)
@@ -306,15 +398,26 @@ if __name__ == "__main__":
         "--sizes", type=int, nargs="+", default=[1000, 4000, 10000],
         help="entity counts to scale over",
     )
+    parser.add_argument(
+        "--shard-entities", type=int, default=5000,
+        help="entity count for the shard-tick cell",
+    )
+    parser.add_argument(
+        "--shard-ticks", type=int, default=30,
+        help="global ticks per shard-tick measurement",
+    )
     cli = parser.parse_args()
     sizes = tuple(cli.sizes)
+    shard = {"shard_entities": cli.shard_entities, "shard_ticks": cli.shard_ticks}
     with trace_session(cli.trace_out):
         if cli.out and cli.out.endswith(".json"):
-            result = run_experiment(sizes=sizes, seed=cli.seed)
+            result = run_experiment(sizes=sizes, seed=cli.seed, **shard)
             for table in result["tables"]:
                 table.print()
             emit_json(cli.out, to_payload(result, cli.seed))
         else:
-            emit_report(print_report, out=cli.out, sizes=sizes, seed=cli.seed)
+            emit_report(
+                print_report, out=cli.out, sizes=sizes, seed=cli.seed, **shard
+            )
         if cli.trace_out:
             run_traced_sample(seed=cli.seed)

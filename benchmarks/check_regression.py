@@ -15,9 +15,9 @@ must match exactly.  ``--min metric=value`` (repeatable) adds an
 *absolute* floor on top of the relative band — use it for ratios that
 are host independent by construction, e.g.::
 
-    python benchmarks/check_regression.py BENCH_E18.json \
-        --baseline benchmarks/BENCH_E18.baseline.json \
-        --min cluster_speedup_w4=2.0
+    python benchmarks/check_regression.py BENCH_E17.json \
+        --baseline benchmarks/BENCH_E17.baseline.json \
+        --min shard_batch_vs_tuple=2.0
 
 Exit status is the CI contract: 0 clean, 1 regressed, 2 unusable input.
 """

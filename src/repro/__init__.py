@@ -33,7 +33,6 @@ from repro.core import (
     ComponentSchema,
     FieldDef,
     ResultSet,
-    SystemSpec,
     schema,
     system,
 )
@@ -44,12 +43,6 @@ from repro.obs import (
     Observability,
     StatsRow,
     Tracer,
-)
-from repro.parallel import (
-    EffectBuffer,
-    ParallelTickExecutor,
-    ProcessShardExecutor,
-    build_tick_plan,
 )
 from repro.replication import (
     ReplicatedClusterCoordinator,
@@ -65,13 +58,8 @@ __all__ = [
     "ComponentSchema",
     "FieldDef",
     "ResultSet",
-    "SystemSpec",
     "schema",
     "system",
-    "EffectBuffer",
-    "ParallelTickExecutor",
-    "ProcessShardExecutor",
-    "build_tick_plan",
     "StatsRow",
     "BubbleAwarePlacement",
     "ClusterCoordinator",

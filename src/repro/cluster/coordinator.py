@@ -106,14 +106,11 @@ class ClusterCoordinator:
         rebalancer: DynamicRebalancer | None = None,
         repartition_interval: int = 20,
         obs: Observability | None = None,
-        parallel: int | None = None,
     ):
         if shards < 1:
             raise ClusterError("cluster needs at least one shard")
         if repartition_interval < 1:
             raise ClusterError("repartition_interval must be positive")
-        if parallel is not None and parallel < 1:
-            raise ClusterError("parallel worker count must be positive")
         self.placement = placement
         self.rebalancer = rebalancer
         self.repartition_interval = repartition_interval
@@ -161,11 +158,6 @@ class ClusterCoordinator:
         self._c_cross_aborted = self.metrics.counter("cluster.txn.cross_aborted")
         self._c_migrations = self.metrics.counter("cluster.migrations_done")
         self._c_rebalance_moves = self.metrics.counter("cluster.rebalance_moves")
-        # Parallel execution policy: `parallel=N` starts N worker
-        # processes lazily on the first tick (so spawns and system
-        # registrations made before ticking are inherited by the fork).
-        self._parallel_workers = parallel
-        self._parallel = None
         # Lease-guarded tick ownership (attach_tick_leases): when a
         # durable lease table governs `tick:<shard>` keys, the
         # coordinator only ticks shards whose lease it holds.
@@ -297,10 +289,9 @@ class ClusterCoordinator:
 
         ``fn(world, entity_ids, columns, dt)`` runs once per shard frame
         over that shard's whole entity set — the columnar formulation of
-        what :meth:`add_per_entity_system` does tuple-at-a-time.  Under a
-        ``parallel=`` policy the kernel executes inside the worker
-        processes against the shared-memory columns, which is where the
-        cluster's batch speedup comes from.
+        what :meth:`add_per_entity_system` does tuple-at-a-time.
+        ``elementwise`` is accepted and ignored (see
+        :class:`~repro.core.systems.BatchSystem`).
         """
         reads = tuple(reads)
         writes = tuple(writes) if writes is not None else None
@@ -327,15 +318,7 @@ class ClusterCoordinator:
         shard_id = self.placement.initial_shard(entity, x, y)
         if not 0 <= shard_id < len(self.shards):
             raise ClusterError(f"placement returned bad shard {shard_id}")
-        if self._parallel is not None:
-            # The worker owns the live world; mirror ownership locally so
-            # check_invariants and the directory stay accurate.
-            self._parallel.install(shard_id, entity, components)
-            host = self.shards[shard_id]
-            host.owned.add(entity)
-            host.stats.entities_owned = len(host.owned)
-        else:
-            self.shards[shard_id].install_entity(entity, components)
+        self.shards[shard_id].install_entity(entity, components)
         self.directory[entity] = shard_id
         return entity
 
@@ -353,8 +336,6 @@ class ClusterCoordinator:
 
     def positions(self) -> dict[int, tuple[float, float]]:
         """Global Position snapshot gathered from every shard."""
-        if self._parallel is not None:
-            return self._parallel.positions()
         out: dict[int, tuple[float, float]] = {}
         for host in self.shards:
             if "Position" not in host.world.component_names():
@@ -557,10 +538,6 @@ class ClusterCoordinator:
         from repro.schema.catalog import DEFAULT_BATCH_ROWS
         from repro.schema.steps import steps_to_records
 
-        if self._parallel is not None or self._parallel_workers is not None:
-            raise ClusterError(
-                "schema rollouts and parallel execution are mutually exclusive"
-            )
         if component not in self._schema_versions:
             raise ClusterError(f"unknown component {component!r}")
         if component in self._schema_rollouts:
@@ -694,15 +671,7 @@ class ClusterCoordinator:
 
         The replicated coordinator overrides this to weave in fault
         injection, log shipping, replica apply, and failure detection.
-        Under a ``parallel=`` policy the step fans out to the worker
-        processes instead (same message order — see
-        :mod:`repro.parallel.procpool`).
         """
-        if self._parallel is None and self._parallel_workers is not None:
-            self.start_parallel(self._parallel_workers)
-        if self._parallel is not None:
-            self._parallel.step()
-            return
         for host in self.shards:
             host.process_inbox(self.net.receive(host.endpoint))
             if self._may_tick(host.shard_id):
@@ -728,10 +697,6 @@ class ClusterCoordinator:
         """
         if ttl < 1:
             raise ClusterError("tick-lease ttl must be positive")
-        if self._parallel is not None or self._parallel_workers is not None:
-            raise ClusterError(
-                "tick leases and parallel execution are mutually exclusive"
-            )
         self._tick_leases = leases
         self._tick_lease_ttl = ttl
         self._tick_lease_owner = owner
@@ -754,46 +719,6 @@ class ClusterCoordinator:
             self.tick_deferrals[shard_id] += 1
             return False
         return True
-
-    # -- parallel execution policy -----------------------------------------------
-
-    @property
-    def parallel_active(self) -> bool:
-        """Whether shard ticks currently run on worker processes."""
-        return self._parallel is not None
-
-    def start_parallel(
-        self, workers: int | None = None, *, shm_headroom: int = 1024
-    ) -> Any:
-        """Fork shard workers and route subsequent ticks through them.
-
-        ``shm_headroom`` sizes the shared-memory column segments beyond
-        the current entity population: entities spawned while parallel
-        fit without spilling as long as their count stays under it.
-        """
-        if self._parallel is not None:
-            return self._parallel
-        if type(self)._step_shards is not ClusterCoordinator._step_shards:
-            raise ClusterError(
-                "parallel execution requires the base shard step "
-                "(replicated clusters override it)"
-            )
-        from repro.parallel.procpool import ProcessShardExecutor
-
-        self._parallel = ProcessShardExecutor(
-            self,
-            workers if workers is not None else (self._parallel_workers or 2),
-            shm_headroom=shm_headroom,
-        )
-        return self._parallel
-
-    def stop_parallel(self, sync: bool = True) -> None:
-        """Stop the shard workers; ``sync=True`` pulls their state back."""
-        if self._parallel is None:
-            return
-        executor, self._parallel = self._parallel, None
-        self._parallel_workers = None
-        executor.stop(sync=sync)
 
     def _maybe_repartition(self) -> None:
         """Repartition when the interval elapses (hook for subclasses)."""
@@ -875,16 +800,8 @@ class ClusterCoordinator:
             migrations_done=self.migrations_done,
             in_flight=len(self._in_flight),
             rebalance_moves=self.rebalance_moves,
-            deferred=(
-                sum(self._parallel.deferred_counts.values())
-                if self._parallel is not None
-                else sum(host.deferred_handoffs for host in self.shards)
-            ),
-            retained=(
-                sum(self._parallel.retained_counts.values())
-                if self._parallel is not None
-                else sum(host.retained_evictions for host in self.shards)
-            ),
+            deferred=sum(host.deferred_handoffs for host in self.shards),
+            retained=sum(host.retained_evictions for host in self.shards),
         )
 
     def stats(self) -> ClusterStats:
@@ -907,15 +824,9 @@ class ClusterCoordinator:
         digests — the cluster's replay guarantee.
         """
         digest = hashlib.sha256()
-        shard_hashes = (
-            self._parallel.state_hashes() if self._parallel is not None else None
-        )
         for host in self.shards:
             digest.update(f"shard:{host.shard_id}\n".encode())
-            if shard_hashes is not None:
-                digest.update(shard_hashes[host.shard_id].encode())
-            else:
-                digest.update(host.world.state_hash().encode())
+            digest.update(host.world.state_hash().encode())
         for entity in sorted(self.directory):
             digest.update(f"\nd:{entity}->{self.directory[entity]}".encode())
         return digest.hexdigest()
@@ -960,16 +871,12 @@ class ClusterCoordinator:
         shipping keeps the network permanently busy, so it cannot wait
         for an empty wire.
         """
-        if self._parallel is not None:
-            deferred = any(self._parallel.deferred_counts.values())
-        else:
-            deferred = any(host.deferred_handoffs for host in self.shards)
         return (
             not self._in_flight
             and not self._pending_specs
             and not self.net.in_flight_count()
             and all(r.finished for r in self._txns.values())
-            and not deferred
+            and not any(host.deferred_handoffs for host in self.shards)
             and not self._schema_rollouts
         )
 

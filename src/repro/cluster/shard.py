@@ -430,10 +430,13 @@ class ShardHost:
         missing = [e for e in sorted(entities) if e not in self.owned]
         if missing:
             hops = {self.forwarding.next_hop(e) for e in missing}
-            if len(hops) == 1 and None not in hops:
+            # Forward only a slice that moved away whole.  One that split
+            # (some entities still here) would be forwarded straight back
+            # by the peer's breadcrumb for the part it is missing.
+            if len(missing) == len(entities) and len(hops) == 1 and None not in hops:
                 self._forward_prepare(prepare, hops.pop(), ctx)
                 return
-            # No breadcrumb (or the keys scattered): refuse safely.
+            # Split, scattered, or no breadcrumb: refuse safely.
             self.stats.txn_aborts_2pc += 1
             self._vote(prepare, commit=False, reads={}, ctx=ctx)
             return

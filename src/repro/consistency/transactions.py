@@ -74,13 +74,7 @@ def write(key: Hashable, fn: WriteFn) -> Op:
 
 
 class Increment:
-    """Picklable add-``amount`` write function.
-
-    A module-level class instead of a lambda so transaction ops survive
-    the pipe crossing into parallel shard workers (see
-    :mod:`repro.parallel.procpool`); custom :func:`write` functions must
-    follow the same rule to be usable under ``parallel=``.
-    """
+    """Add-``amount`` write function (a class, not a lambda, so ops pickle)."""
 
     __slots__ = ("amount",)
 
@@ -537,45 +531,6 @@ class TwoPhaseParticipant:
         if self._prepared.pop(txn_id, None) is not None:
             self.locks.release_all(txn_id)
         self.aborts += 1
-
-    def export_prepared(self) -> dict[int, list[tuple[str, Hashable]]]:
-        """Snapshot in-flight prepared transactions for process handoff.
-
-        A cluster worker stopping mid-run may hold yes-votes whose
-        commit/abort decisions have not arrived yet.  The snapshot pairs
-        every prepared key with the lock mode held (``"w"`` exclusive,
-        ``"r"`` shared) so :meth:`import_prepared` can rebuild both the
-        prepared table and the lock table in the adopting participant.
-        """
-        return {
-            txn_id: [
-                (
-                    "w"
-                    if self.locks.holds(txn_id, key, LockMode.EXCLUSIVE)
-                    else "r",
-                    key,
-                )
-                for key in keys
-            ]
-            for txn_id, keys in self._prepared.items()
-        }
-
-    def import_prepared(
-        self, prepared: Mapping[int, Iterable[tuple[str, Hashable]]]
-    ) -> None:
-        """Adopt another participant's prepared state (see above).
-
-        Replaces any local entry for the same transaction id — the
-        exporter's view is a superset when both descend from one fork.
-        Lock acquisition is re-entrant, so re-importing is idempotent.
-        """
-        for txn_id, keyed in prepared.items():
-            keyed = list(keyed)
-            if not self._lock_all(txn_id, keyed):
-                raise TransactionError(
-                    f"import of prepared txn {txn_id} lost its locks"
-                )
-            self._prepared[txn_id] = [key for _kind, key in keyed]
 
     def execute_local(self, txn_id: int, ops: Iterable[Op]) -> bool:
         """Run a wholly-local transaction atomically; False when refused."""

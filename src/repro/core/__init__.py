@@ -37,7 +37,6 @@ from repro.core.systems import (
     PerEntitySystem,
     System,
     SystemScheduler,
-    SystemSpec,
     system,
 )
 from repro.core.table import ComponentTable
@@ -86,7 +85,6 @@ __all__ = [
     "PerEntitySystem",
     "System",
     "SystemScheduler",
-    "SystemSpec",
     "system",
     "ComponentTable",
     "GameWorld",

@@ -23,10 +23,9 @@ or :func:`set_default_backend` in tests.
 
 A typed column also supports **zero-copy views**: :meth:`TypedColumn.view`
 returns a read-only ``memoryview`` over the packed buffer, which is what
-``ComponentTable.batch_rows(copy=False)`` hands to batch kernels and the
-chunked parallel executor (slicing a memoryview is O(1) and copies
-nothing).  Views are *live* — in-place cell writes show through — but
-snapshot-stable across row growth: if the buffer must grow while a view
+``ComponentTable.batch_rows(copy=False)`` hands to batch kernels
+(slicing a memoryview is O(1) and copies nothing).  Views are *live* —
+in-place cell writes show through — but snapshot-stable across row growth: if the buffer must grow while a view
 is exported, the column reallocates and the old view keeps the old
 buffer alive (copy-on-grow), exactly the snapshot semantics
 ``column()`` promises.

@@ -27,7 +27,6 @@ shape, not to how often it gets planned.
 
 from __future__ import annotations
 
-import threading
 from typing import Any, TYPE_CHECKING
 
 from repro.core.predicates import predicate_signature
@@ -77,10 +76,6 @@ class PlanCache:
         self._c_misses = cell("misses")
         self._c_invalidations = cell("invalidations")
         self._c_uncacheable = cell("uncacheable")
-        # The parallel executor's thread pool may run queries from several
-        # worker threads at once; the lock keeps counter totals and FIFO
-        # bookkeeping exact (completion order may vary, counts may not).
-        self._lock = threading.Lock()
 
     # -- counter facade (attribute API preserved) ----------------------------
 
@@ -169,30 +164,29 @@ class PlanCache:
             return plan
 
     def _lookup(self, query: Any) -> QueryPlan:
-        with self._lock:
-            key = self.signature(query)
-            if key is None:
-                self.uncacheable += 1
-                return self.world.planner.plan(query)
-            components = query.component_names()
-            epochs = self._epochs(components)
-            entry = self._entries.get(key)
-            if entry is not None:
-                plan, cached_epochs = entry
-                if cached_epochs == epochs:
-                    self.hits += 1
-                    plan.replay_advisor(self.world.index_advisor)
-                    return plan
-                del self._entries[key]
-                self.invalidations += 1
-            self.misses += 1
-            plan = self.world.planner.plan(query)
-            if len(self._entries) >= self.max_entries:
-                # FIFO eviction: drop the oldest insertion (dict preserves
-                # insertion order), bounding memory under per-entity shapes.
-                self._entries.pop(next(iter(self._entries)))
-            self._entries[key] = (plan, epochs)
-            return plan
+        key = self.signature(query)
+        if key is None:
+            self.uncacheable += 1
+            return self.world.planner.plan(query)
+        components = query.component_names()
+        epochs = self._epochs(components)
+        entry = self._entries.get(key)
+        if entry is not None:
+            plan, cached_epochs = entry
+            if cached_epochs == epochs:
+                self.hits += 1
+                plan.replay_advisor(self.world.index_advisor)
+                return plan
+            del self._entries[key]
+            self.invalidations += 1
+        self.misses += 1
+        plan = self.world.planner.plan(query)
+        if len(self._entries) >= self.max_entries:
+            # FIFO eviction: drop the oldest insertion (dict preserves
+            # insertion order), bounding memory under per-entity shapes.
+            self._entries.pop(next(iter(self._entries)))
+        self._entries[key] = (plan, epochs)
+        return plan
 
     # -- maintenance / introspection ----------------------------------------
 

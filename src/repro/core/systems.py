@@ -15,7 +15,6 @@ Experiment E3 measures the gap between the two on the same workload.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence, TYPE_CHECKING
 
 from repro.errors import QueryError
@@ -23,89 +22,30 @@ from repro.obs.tracer import NOOP_SPAN
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.world import GameWorld
-    from repro.parallel.effects import EffectBuffer
-
-
-def _component_names(refs: Sequence[str]) -> frozenset[str]:
-    """Component names from a mix of ``"Comp"`` and ``"Comp.field"`` refs."""
-    return frozenset(ref.partition(".")[0] for ref in refs)
-
-
-@dataclass(frozen=True)
-class SystemSpec:
-    """Declared read/write component sets — the scheduler's contract.
-
-    The parallel scheduler reasons at component granularity: two systems
-    may share a tick phase only when neither writes a component the other
-    touches.  A system without a spec (``spec is None``) is treated as
-    conflicting with everything and runs in its own serial phase.
-    """
-
-    reads: frozenset[str] = field(default_factory=frozenset)
-    writes: frozenset[str] = field(default_factory=frozenset)
-
-    @classmethod
-    def of(
-        cls, reads: Sequence[str] = (), writes: Sequence[str] = ()
-    ) -> "SystemSpec":
-        """Build a spec from component or ``"Comp.field"`` references.
-
-        Written components are implicitly read (an update observes the
-        old value), which keeps the conflict rule symmetric and safe.
-        """
-        write_comps = _component_names(writes)
-        return cls(
-            reads=_component_names(reads) | write_comps, writes=write_comps
-        )
-
-    def conflicts_with(self, other: "SystemSpec | None") -> bool:
-        """Whether the two systems may not share a tick phase."""
-        if other is None:
-            return True
-        return bool(
-            self.writes & (other.reads | other.writes)
-            or other.writes & (self.reads | self.writes)
-        )
-
-    def write_write_conflict(self, other: "SystemSpec | None") -> bool:
-        """Whether both systems write some common component."""
-        if other is None:
-            return bool(self.writes)
-        return bool(self.writes & other.writes)
 
 
 def system(
     name: str | Callable[..., Any] | None = None,
     *,
-    reads: Sequence[str] = (),
-    writes: Sequence[str] = (),
     interval: int = 1,
     priority: int = 100,
 ) -> Callable[..., Any]:
     """Declare a plain ``fn(world, dt)`` callable as a schedulable system.
 
-    The one declaration path shared by function systems, script systems,
-    and cluster tick hooks: the decorator attaches a :class:`SystemSpec`
-    (what the parallel scheduler consumes) plus name/interval/priority,
-    and ``GameWorld.add_system`` / ``ClusterCoordinator.add_system``
-    accept the decorated callable directly::
+    The decorator attaches name/interval/priority, and
+    ``GameWorld.add_system`` / ``ClusterCoordinator.add_system`` accept
+    the decorated callable directly::
 
-        @system(reads=["Position"], writes=["Position"])
+        @system("drift", interval=2)
         def drift(world, dt):
             ...
 
         world.add_system(drift)
 
-    Usable bare (``@system``) when no declaration is needed — the system
-    then schedules serially, conflicting with everything.
+    Usable bare (``@system``) when the defaults do.
     """
 
     def decorate(fn: Callable[..., Any]) -> Callable[..., Any]:
-        # No declaration at all means "unknown", not "touches nothing":
-        # the scheduler must serialize it rather than run it anywhere.
-        fn.__system_spec__ = (
-            SystemSpec.of(reads, writes) if (reads or writes) else None
-        )
         fn.__system_name__ = (
             name if isinstance(name, str) else getattr(fn, "__name__", "system")
         )
@@ -131,21 +71,15 @@ class System:
         that natively so scripts don't hand-roll modulo counters.
     enabled:
         Disabled systems stay registered but are skipped.
-    spec:
-        Optional :class:`SystemSpec` declaring read/write component sets.
-        ``None`` means unknown: the parallel scheduler serializes it.
     """
 
-    def __init__(
-        self, name: str, interval: int = 1, *, spec: SystemSpec | None = None
-    ):
+    def __init__(self, name: str, interval: int = 1):
         if interval < 1:
             raise QueryError("system interval must be >= 1")
         self.name = name
         self.interval = interval
         self.enabled = True
         self.runs = 0
-        self.spec = spec
 
     def run(self, world: "GameWorld", dt: float) -> None:
         """Execute one frame of work.  Subclasses must override."""
@@ -154,25 +88,6 @@ class System:
     def should_run(self, tick: int) -> bool:
         """Whether the scheduler should run this system at ``tick``."""
         return self.enabled and tick % self.interval == 0
-
-    @property
-    def supports_effects(self) -> bool:
-        """Whether :meth:`collect_effects` can run this system off-thread."""
-        return False
-
-    def collect_effects(
-        self, world: "GameWorld", dt: float
-    ) -> "EffectBuffer | None":
-        """State-effect execution: read state, return buffered writes.
-
-        Effect-capable systems (``supports_effects``) compute their frame
-        here *without mutating the world*, returning an
-        :class:`~repro.parallel.effects.EffectBuffer` the executor merges
-        in canonical order.  Returning ``None`` tells the executor to
-        fall back to :meth:`run` in this system's canonical slot — the
-        default for systems that must mutate state directly.
-        """
-        return None
 
 
 class FunctionSystem(System):
@@ -187,10 +102,8 @@ class FunctionSystem(System):
         name: str,
         fn: Callable[["GameWorld", float], None],
         interval: int = 1,
-        *,
-        spec: SystemSpec | None = None,
     ):
-        super().__init__(name, interval=interval, spec=spec)
+        super().__init__(name, interval=interval)
         self.fn = fn
 
     @classmethod
@@ -200,7 +113,6 @@ class FunctionSystem(System):
             getattr(fn, "__system_name__", getattr(fn, "__name__", "system")),
             fn,
             interval=getattr(fn, "__system_interval__", 1),
-            spec=getattr(fn, "__system_spec__", None),
         )
 
     def run(self, world: "GameWorld", dt: float) -> None:
@@ -222,13 +134,8 @@ class PerEntitySystem(System):
         components: Sequence[str],
         fn: Callable[["GameWorld", int, float], None],
         interval: int = 1,
-        *,
-        writes: Sequence[str] | None = None,
     ):
-        spec = None
-        if writes is not None:
-            spec = SystemSpec.of(reads=tuple(components), writes=tuple(writes))
-        super().__init__(name, interval=interval, spec=spec)
+        super().__init__(name, interval=interval)
         if not components:
             raise QueryError("PerEntitySystem requires at least one component")
         self.components = tuple(components)
@@ -262,11 +169,9 @@ class BatchSystem(System):
     are applied through the table layer in one pass so observers still
     see per-entity deltas.
 
-    ``elementwise=True`` declares that row ``i`` of every returned column
-    depends only on row ``i`` of the inputs (no cross-row aggregates).
-    The parallel executor may then split the entity range into per-worker
-    chunks and run the kernel once per chunk — the results concatenate to
-    exactly what one whole-range call would produce.
+    ``writes`` declares the column refs ``fn`` may return; a write outside
+    the declaration raises :class:`QueryError`.  ``elementwise`` is accepted
+    for callers written against the retired chunking executor and ignored.
     """
 
     def __init__(
@@ -279,16 +184,12 @@ class BatchSystem(System):
         writes: Sequence[str] | None = None,
         elementwise: bool = False,
     ):
-        spec = None
-        if writes is not None:
-            spec = SystemSpec.of(reads=tuple(reads), writes=tuple(writes))
-        super().__init__(name, interval=interval, spec=spec)
+        super().__init__(name, interval=interval)
         self.reads = tuple(reads)
         if not self.reads:
             raise QueryError("BatchSystem requires at least one read column")
         self.fn = fn
         self.writes = tuple(writes) if writes is not None else None
-        self.elementwise = bool(elementwise)
         self._parse_cache: list[tuple[str, str]] = []
         for ref in self.reads:
             comp, _, fld = ref.partition(".")
@@ -332,9 +233,7 @@ class BatchSystem(System):
                 columns[f"{comp}.{fld}"] = cols[fld]
         return ids, columns
 
-    def _check_writes(
-        self, writes: dict[str, Sequence[Any]], count: int
-    ) -> dict[str, Sequence[Any]]:
+    def _check_writes(self, writes: dict[str, Sequence[Any]], count: int) -> None:
         for ref, values in writes.items():
             if self.writes is not None and ref not in self.writes:
                 raise QueryError(
@@ -346,54 +245,15 @@ class BatchSystem(System):
                     f"BatchSystem {self.name!r}: write column {ref!r} has "
                     f"{len(values)} values for {count} entities"
                 )
-        return writes
-
-    def compute_chunk(
-        self,
-        world: "GameWorld",
-        ids: Sequence[int],
-        columns: dict[str, Sequence[Any]],
-        dt: float,
-    ) -> dict[str, Sequence[Any]]:
-        """Run the kernel on one pre-sliced chunk (elementwise systems).
-
-        The executor slices ``gather_columns`` output into per-worker
-        ranges (O(1) on memoryviews) and calls this per chunk; each
-        chunk's writes are validated against the chunk length.
-        """
-        writes = self.fn(world, ids, columns, dt) or {}
-        return self._check_writes(writes, len(ids))
-
-    def _compute(
-        self, world: "GameWorld", dt: float
-    ) -> tuple[tuple[int, ...], dict[str, Sequence[Any]]]:
-        ids, columns = self.gather_columns(world)
-        writes = self.fn(world, ids, columns, dt) or {}
-        return ids, self._check_writes(writes, len(ids))
 
     def run(self, world: "GameWorld", dt: float) -> None:
         self.runs += 1
-        ids, writes = self._compute(world, dt)
+        ids, columns = self.gather_columns(world)
+        writes = self.fn(world, ids, columns, dt) or {}
+        self._check_writes(writes, len(ids))
         for ref, values in writes.items():
             comp, _, fld = ref.partition(".")
             world.set_column(comp, fld, ids, values)
-
-    @property
-    def supports_effects(self) -> bool:
-        return self.spec is not None
-
-    def collect_effects(self, world: "GameWorld", dt: float):
-        if self.spec is None:
-            return None
-        from repro.parallel.effects import EffectBuffer
-
-        self.runs += 1
-        ids, writes = self._compute(world, dt)
-        buffer = EffectBuffer()
-        for ref, values in writes.items():
-            comp, _, fld = ref.partition(".")
-            buffer.write_column(comp, fld, ids, values)
-        return buffer
 
 
 class SystemScheduler:

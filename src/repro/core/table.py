@@ -406,11 +406,7 @@ class ComponentTable:
         return tuple(col)
 
     def typed_fields(self) -> tuple[str, ...]:
-        """Fields currently packed on typed buffers (not demoted).
-
-        The shared-memory shard plane uses this to decide which columns
-        can live in ``multiprocessing.shared_memory`` segments.
-        """
+        """Fields currently packed on typed buffers (not demoted)."""
         a = self._alter
         return tuple(
             f

@@ -43,11 +43,6 @@ from repro.schema.catalog import Catalog
 ChangeHook = Callable[[str, int, str | None, Mapping[str, Any] | None], None]
 
 
-def _never_skips(component: str, field: str) -> bool:
-    """Default ``skips_update`` for hooks that declare none: always fire."""
-    return False
-
-
 class GameWorld:
     """The authoritative in-memory game database.
 
@@ -85,30 +80,12 @@ class GameWorld:
         self._indexes: dict[str, IndexManager] = {}
         self._components_of: dict[int, set[str]] = {}
         self._change_hooks: list[ChangeHook] = []
-        self._parallel_executor = None
         #: The schema catalog: define / alter / describe component types.
         self.catalog = Catalog(self)
         self.obs.register_stats("plan_cache", self.plan_cache.stats)
         self.obs.register_stats("schema_catalog", self.catalog.stats)
 
     # ------------------------------------------------------------------ schema
-
-    def register_component(self, schema: ComponentSchema) -> ComponentTable:
-        """Deprecated: use ``world.catalog.define(...)``.
-
-        Kept as a shim for one more release per the deprecation policy;
-        delegates to the catalog so old callers still get a versioned
-        entry.
-        """
-        import warnings
-
-        warnings.warn(
-            "GameWorld.register_component is deprecated; use "
-            "world.catalog.define(...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.catalog.define(schema)
 
     def _install_table(self, schema: ComponentSchema) -> ComponentTable:
         """Create the table + index manager for a catalog define."""
@@ -268,17 +245,6 @@ class GameWorld:
         """
         table = self.table(component)
         hooks = self._change_hooks
-        if hooks:
-            # A hook may declare bulk-update disinterest for specific
-            # columns (``skips_update(component, field) -> bool``) — the
-            # shared-memory shard journal does this for fields that sync
-            # through shm segments instead of delta records.  When every
-            # hook skips this column the whole-column fast path stays.
-            hooks = [
-                h
-                for h in hooks
-                if not getattr(h, "skips_update", _never_skips)(component, field)
-            ]
         if not hooks:
             return table.update_column(field, entity_ids, values)
         ids = list(entity_ids)
@@ -358,7 +324,7 @@ class GameWorld:
 
         Accepts a :class:`System` instance or a plain callable decorated
         with :func:`repro.core.systems.system` — the decorator's
-        name/spec/interval/priority are honoured (an explicit ``priority``
+        name/interval/priority are honoured (an explicit ``priority``
         argument wins over the decorator's).
         """
         if not isinstance(system, System):
@@ -384,22 +350,10 @@ class GameWorld:
         fn: Callable[["GameWorld", int, float], None],
         priority: int = 100,
         interval: int = 1,
-        writes: Iterable[str] | None = None,
     ) -> System:
-        """Register a tuple-at-a-time system.
-
-        Passing ``writes`` declares a :class:`SystemSpec` (reads are the
-        signature components) so the parallel scheduler can phase it.
-        """
+        """Register a tuple-at-a-time system."""
         return self.scheduler.add(
-            PerEntitySystem(
-                name,
-                tuple(components),
-                fn,
-                interval,
-                writes=None if writes is None else tuple(writes),
-            ),
-            priority,
+            PerEntitySystem(name, tuple(components), fn, interval), priority
         )
 
     def add_batch_system(
@@ -414,12 +368,9 @@ class GameWorld:
     ) -> System:
         """Register a set-at-a-time (columnar) system.
 
-        Passing ``writes`` (column refs the callback may return) declares
-        a :class:`SystemSpec` and enables state-effect execution: the
-        system can then run concurrently inside a parallel tick phase.
-        ``elementwise=True`` additionally lets the parallel executor
-        split the kernel into per-worker row chunks (legal only when row
-        ``i`` of the output depends solely on row ``i`` of the inputs).
+        Passing ``writes`` declares the column refs the callback may
+        return; a write outside the declaration raises.  ``elementwise``
+        is accepted and ignored (see :class:`BatchSystem`).
         """
         return self.scheduler.add(
             BatchSystem(
@@ -446,44 +397,11 @@ class GameWorld:
 
     def _tick_body(self) -> int:
         tick = self.clock.advance()
-        if self._parallel_executor is not None:
-            self._parallel_executor.run_tick(tick, self.clock.dt)
-        else:
-            self.scheduler.run_tick(self, tick, self.clock.dt, self.budget)
+        self.scheduler.run_tick(self, tick, self.clock.dt, self.budget)
         self.catalog.pump()
         self.events.flush_deferred()
         self.budget.end_frame()
         return tick
-
-    # ---------------------------------------------------------------- parallel
-
-    def enable_parallel(self, workers: int = 2):
-        """Run ticks through the state-effect parallel executor.
-
-        Systems are partitioned into conflict-free phases from their
-        :class:`~repro.core.systems.SystemSpec` declarations; within a
-        phase, effect-capable systems compute concurrently on a thread
-        pool and their effect buffers merge in registration order, so
-        :meth:`state_hash` stays bit-identical to serial execution.
-        Returns the executor (its :meth:`stats` reports phase counts).
-        """
-        from repro.parallel.executor import ParallelTickExecutor
-
-        if self._parallel_executor is not None:
-            self._parallel_executor.close()
-        self._parallel_executor = ParallelTickExecutor(self, workers=workers)
-        return self._parallel_executor
-
-    def disable_parallel(self) -> None:
-        """Return to plain serial tick execution."""
-        if self._parallel_executor is not None:
-            self._parallel_executor.close()
-            self._parallel_executor = None
-
-    @property
-    def parallel_executor(self):
-        """The active parallel executor, or None when running serially."""
-        return self._parallel_executor
 
     def run(self, frames: int) -> None:
         """Advance ``frames`` frames."""

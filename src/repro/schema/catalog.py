@@ -2,8 +2,7 @@
 
 ``world.catalog`` is the single DDL entry point:
 
-* :meth:`Catalog.define` registers a component type (replacing the old
-  ``GameWorld.register_component``, now a deprecation shim);
+* :meth:`Catalog.define` registers a component type;
 * :meth:`Catalog.alter` applies a declarative step list to a component
   *while the world keeps ticking* — the table switches to the target
   schema immediately (dual-version reads), and :meth:`Catalog.pump`
@@ -216,19 +215,13 @@ class Catalog:
 
         Indexes over affected fields are dropped (recreate them after
         commit); aggregates over affected fields must likewise be
-        recreated.  Alters are rejected while a parallel executor is
-        active.
+        recreated.
         """
         entry = self._require(component)
         if entry.active is not None:
             raise SchemaError(
                 f"component {component!r} already has an alter in progress "
                 f"(to v{entry.active.to_version})"
-            )
-        if self._world.parallel_executor is not None:
-            raise SchemaError(
-                "cannot alter schemas while parallel execution is active; "
-                "call disable_parallel() first"
             )
         steps = tuple(steps)
         if not steps:

@@ -317,18 +317,6 @@ class LoweredProgram:
                     return False
         return True
 
-    # -- component census (the parallel scheduler's inference input) ---------
-
-    def read_components(self) -> frozenset[str]:
-        """Components any loop reads (drives its query or gathers from)."""
-        return frozenset(loop.component for loop in self.loops)
-
-    def write_components(self) -> frozenset[str]:
-        """Components any loop writes back to."""
-        return frozenset(
-            loop.component for loop in self.loops if loop.write_fields
-        )
-
     # -- execution -----------------------------------------------------------
 
     def execute(self, world: Any, env: Mapping[str, Any]) -> bool:
@@ -343,7 +331,9 @@ class LoweredProgram:
         computed = self.compute(world, env)
         if computed is None:
             return False
-        self.apply_computed(world, computed)
+        for component, ids, written in computed:
+            if ids and written:
+                world.update_batch(component, ids, written)
         return True
 
     def compute(
@@ -353,10 +343,7 @@ class LoweredProgram:
 
         Returns ``None`` when validation or any loop's compute fails (the
         scalar interpreter should run instead), else the per-loop
-        ``(component, ids, written_columns)`` list for
-        :meth:`apply_computed`.  This split is what lets the parallel
-        executor run the compute phase off-thread and merge the writes in
-        canonical order on the main thread.
+        ``(component, ids, written_columns)`` list :meth:`execute` lands.
         """
         if not self._validate(world):
             return None
@@ -368,14 +355,6 @@ class LoweredProgram:
             computed = self._compute(world, env)
             sp.set(lowered=computed is not None, loops=len(self.loops))
             return computed
-
-    def apply_computed(
-        self, world: Any, computed: list[tuple[str, list[int], dict[str, list]]]
-    ) -> None:
-        """The write half: land every computed column via ``update_batch``."""
-        for component, ids, written in computed:
-            if ids and written:
-                world.update_batch(component, ids, written)
 
     def _compute(
         self, world: Any, env: Mapping[str, Any]

@@ -21,9 +21,9 @@ is where a studio pipeline wants the failure.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any
 
-from repro.core.systems import System, SystemSpec
+from repro.core.systems import System
 from repro.errors import BudgetExceededError, ScriptError, ScriptRuntimeError
 from repro.scripting.analyzer import CostAnalyzer
 from repro.scripting.batch_lowering import lower_script
@@ -58,13 +58,6 @@ class ScriptSystem(System):
         :mod:`repro.scripting.batch_lowering`); ``"off"`` always runs the
         interpreter.  Lowering is only attempted for profiles without an
         instruction budget, because batched frames bypass the meter.
-    reads / writes:
-        Optional explicit component sets for the
-        :class:`~repro.core.systems.SystemSpec` consumed by the parallel
-        scheduler.  When omitted, the spec is *inferred from the
-        batch-lowering census* — the lowered loops name exactly which
-        components the script reads and writes — and stays ``None``
-        (serialize-me) for scripts that resist lowering.
     """
 
     def __init__(
@@ -76,8 +69,6 @@ class ScriptSystem(System):
         max_degree: int | None = None,
         max_strikes: int | None = 3,
         batch: str = "auto",
-        reads: Sequence[str] | None = None,
-        writes: Sequence[str] | None = None,
     ):
         super().__init__(name, interval=interval)
         self.compiled = CompiledScript(source, profile, source_name=f"system:{name}")
@@ -108,18 +99,6 @@ class ScriptSystem(System):
         if batch == "auto" and profile.instruction_budget is None:
             self.lowered = lower_script(self.compiled.tree)
         self._interpreter: Interpreter | None = None
-        if reads is not None or writes is not None:
-            self.spec = SystemSpec.of(
-                reads=tuple(reads or ()), writes=tuple(writes or ())
-            )
-        elif self.lowered is not None:
-            # Inference from the lowering census: the scripting
-            # restrictions guarantee a lowered script touches exactly the
-            # loops' components (assignments only, no events, no spawns).
-            self.spec = SystemSpec(
-                reads=self.lowered.read_components(),
-                writes=self.lowered.write_components(),
-            )
 
     def run(self, world: Any, dt: float) -> None:
         """Execute one frame of the script under the guard rails.
@@ -173,37 +152,6 @@ class ScriptSystem(System):
                     "script.instructions", system=self.name
                 ).inc(self.instructions_last_run)
 
-    @property
-    def supports_effects(self) -> bool:
-        """Lowered scripts can compute off-thread and merge as effects."""
-        return self.lowered is not None and self.enabled
-
-    def collect_effects(self, world: Any, dt: float):
-        """State-effect frame: compute the lowered batch, buffer the writes.
-
-        Returns ``None`` when the script is not lowered or the batch
-        aborts (no write has happened) — the executor then falls back to
-        :meth:`run` in this system's canonical slot, preserving exact
-        interpreter semantics.
-        """
-        if self.lowered is None:
-            return None
-        computed = self.lowered.compute(
-            world, {"dt": dt, "tick": world.clock.tick}
-        )
-        if computed is None:
-            return None
-        from repro.parallel.effects import EffectBuffer
-
-        self.runs += 1
-        self.batched_runs += 1
-        self.instructions_last_run = 0
-        buffer = EffectBuffer()
-        for component, ids, written in computed:
-            if ids and written:
-                buffer.write_batch(component, ids, written)
-        return buffer
-
     def _strike(self, world: Any, reason: str) -> None:
         self.strikes += 1
         disabled = (
@@ -232,14 +180,12 @@ def add_script_system(
     max_degree: int | None = None,
     max_strikes: int | None = 3,
     batch: str = "auto",
-    reads: Sequence[str] | None = None,
-    writes: Sequence[str] | None = None,
 ) -> ScriptSystem:
     """Compile, gate, and register a script system in one call."""
     system = ScriptSystem(
         name, source, profile,
         interval=interval, max_degree=max_degree, max_strikes=max_strikes,
-        batch=batch, reads=reads, writes=writes,
+        batch=batch,
     )
     world.add_system(system, priority=priority)
     return system

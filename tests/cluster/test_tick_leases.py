@@ -50,12 +50,6 @@ class TestAttachment:
         with pytest.raises(ClusterError):
             cluster.attach_tick_leases(table, ttl=0)
 
-    def test_mutually_exclusive_with_parallel(self, table):
-        cluster = make_static_cluster(shards=1)
-        cluster._parallel_workers = 2  # as if built with parallel=2
-        with pytest.raises(ClusterError):
-            cluster.attach_tick_leases(table)
-
 
 class TestWorkerOwnership:
     def test_live_worker_lease_defers_the_shard_tick(self, table):

@@ -127,3 +127,28 @@ class TestAbort:
         # The aborted attempt left no prepared state behind on either side.
         for host in cluster.shards:
             assert host.participant.prepared_count() == 0
+
+
+class TestPrepareDuringHandoff:
+    def test_split_local_prepare_aborts_instead_of_bouncing(self):
+        """A local prepare whose slice split mid-handoff is decided.
+
+        ``b`` first moves T -> S, leaving T a breadcrumb for it; then
+        ``a`` leaves S for T while a local (a, b) prepare is on the
+        wire.  S owns only ``b`` and T only ``a``: forwarding would
+        ping-pong between the two breadcrumbs forever.
+        """
+        cluster = make_static_cluster()
+        a, b = cross_shard_pair(cluster)
+        s, t = cluster.owner_of(a), cluster.owner_of(b)
+        assert cluster.migrate(b, s)
+        cluster.quiesce()
+        assert cluster.owner_of(b) == s
+        assert cluster.migrate(a, t)
+        txn = cluster.submit(transfer_spec(a, b, amount=10))
+        cluster.quiesce()
+        cluster.check_invariants()
+        assert cluster.txn_outcome(txn) is False
+        assert cluster.owner_of(a) == t
+        assert gold_of(cluster, a) == 100
+        assert gold_of(cluster, b) == 100

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import GameWorld, schema
+from repro.core import GameWorld, schema, system
 from repro.core.entity import EntityAllocator, pack_id, unpack_id
 from repro.errors import (
     ComponentMissingError,
@@ -164,6 +164,23 @@ class TestSystems:
         world.add_function_system("a", lambda w, dt: order.append("a"), priority=50)
         world.tick()
         assert order == ["a", "b"]
+
+    def test_decorated_function_carries_name_interval_priority(self, world):
+        order = []
+
+        @system("late", interval=2, priority=200)
+        def late(w, dt):
+            order.append(("late", w.clock.tick))
+
+        @system
+        def early(w, dt):
+            order.append(("early", w.clock.tick))
+
+        world.add_system(late)
+        world.add_system(early)
+        world.run(2)
+        assert world.scheduler.get("late").interval == 2
+        assert order == [("early", 1), ("early", 2), ("late", 2)]
 
     def test_duplicate_name_raises(self, world):
         world.add_function_system("x", lambda w, dt: None)

@@ -74,17 +74,6 @@ class TestSubsystemProviders:
         assert "plan_cache" in collected
         assert collected["plan_cache"]["hits"] + collected["plan_cache"]["misses"] >= 1
 
-    def test_parallel_executor_registers_and_unregisters(self):
-        obs = Observability.metrics_only()
-        world = GameWorld(obs=obs)
-        world.catalog.define(schema("Health", hp=("int", 100)))
-        world.enable_parallel(workers=2)
-        assert "parallel" in obs.stats_providers()
-        row = obs.collect_stats()["parallel"]
-        assert row["workers"] == 2
-        world.disable_parallel()
-        assert "parallel" not in obs.stats_providers()
-
     def test_plan_cache_stats_snapshot_not_live(self):
         world = GameWorld()
         world.catalog.define(schema("Health", hp=("int", 100)))

@@ -206,16 +206,6 @@ class TestInvalidation:
         assert "armor" in mgr._sorted
 
 
-class TestDeprecationShim:
-    def test_register_component_warns_and_delegates(self):
-        world = GameWorld()
-        with pytest.warns(DeprecationWarning):
-            world.register_component(schema("Mana", mp=("int", 5)))
-        assert world.catalog.version_of("Mana") == 1
-        eid = world.spawn(Mana={})
-        assert world.get(eid, "Mana") == {"mp": 5}
-
-
 class TestStats:
     def test_counters_accumulate(self):
         world, _ = make_world(6)

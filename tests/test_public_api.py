@@ -18,7 +18,6 @@ PACKAGES = [
     "repro.net",
     "repro.gateway",
     "repro.obs",
-    "repro.parallel",
     "repro.persistence",
     "repro.schema",
     "repro.durable",
