@@ -312,8 +312,8 @@ def to_payload(result, seed):
     }
 
 
-def print_report(sizes=(1000, 4000, 10000), seed=1, **shard) -> None:
-    result = run_experiment(sizes=sizes, seed=seed, **shard)
+def print_report(sizes=(1000, 4000, 10000), seed=1) -> None:
+    result = run_experiment(sizes=sizes, seed=seed)
     for table in result["tables"]:
         table.print()
     m = result["metrics"]
@@ -398,26 +398,15 @@ if __name__ == "__main__":
         "--sizes", type=int, nargs="+", default=[1000, 4000, 10000],
         help="entity counts to scale over",
     )
-    parser.add_argument(
-        "--shard-entities", type=int, default=5000,
-        help="entity count for the shard-tick cell",
-    )
-    parser.add_argument(
-        "--shard-ticks", type=int, default=30,
-        help="global ticks per shard-tick measurement",
-    )
     cli = parser.parse_args()
     sizes = tuple(cli.sizes)
-    shard = {"shard_entities": cli.shard_entities, "shard_ticks": cli.shard_ticks}
     with trace_session(cli.trace_out):
         if cli.out and cli.out.endswith(".json"):
-            result = run_experiment(sizes=sizes, seed=cli.seed, **shard)
+            result = run_experiment(sizes=sizes, seed=cli.seed)
             for table in result["tables"]:
                 table.print()
             emit_json(cli.out, to_payload(result, cli.seed))
         else:
-            emit_report(
-                print_report, out=cli.out, sizes=sizes, seed=cli.seed, **shard
-            )
+            emit_report(print_report, out=cli.out, sizes=sizes, seed=cli.seed)
         if cli.trace_out:
             run_traced_sample(seed=cli.seed)

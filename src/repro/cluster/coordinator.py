@@ -290,15 +290,15 @@ class ClusterCoordinator:
         ``fn(world, entity_ids, columns, dt)`` runs once per shard frame
         over that shard's whole entity set — the columnar formulation of
         what :meth:`add_per_entity_system` does tuple-at-a-time.
-        ``elementwise`` is accepted and ignored (see
-        :class:`~repro.core.systems.BatchSystem`).
+        ``elementwise`` is accepted and ignored: it was a hint to the
+        retired chunking executor and callers still pass it.
         """
         reads = tuple(reads)
         writes = tuple(writes) if writes is not None else None
         for host in self.shards:
             host.world.add_batch_system(
                 name, reads, fn, priority=priority, interval=interval,
-                writes=writes, elementwise=elementwise,
+                writes=writes,
             )
 
     def add_script_system(self, name: str, source: str, **kwargs: Any) -> None:

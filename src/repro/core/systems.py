@@ -170,8 +170,7 @@ class BatchSystem(System):
     see per-entity deltas.
 
     ``writes`` declares the column refs ``fn`` may return; a write outside
-    the declaration raises :class:`QueryError`.  ``elementwise`` is accepted
-    for callers written against the retired chunking executor and ignored.
+    the declaration raises :class:`QueryError`.
     """
 
     def __init__(
@@ -182,7 +181,6 @@ class BatchSystem(System):
         interval: int = 1,
         *,
         writes: Sequence[str] | None = None,
-        elementwise: bool = False,
     ):
         super().__init__(name, interval=interval)
         self.reads = tuple(reads)

@@ -364,13 +364,11 @@ class GameWorld:
         priority: int = 100,
         interval: int = 1,
         writes: Iterable[str] | None = None,
-        elementwise: bool = False,
     ) -> System:
         """Register a set-at-a-time (columnar) system.
 
         Passing ``writes`` declares the column refs the callback may
-        return; a write outside the declaration raises.  ``elementwise``
-        is accepted and ignored (see :class:`BatchSystem`).
+        return; a write outside the declaration raises.
         """
         return self.scheduler.add(
             BatchSystem(
@@ -379,7 +377,6 @@ class GameWorld:
                 fn,
                 interval,
                 writes=None if writes is None else tuple(writes),
-                elementwise=elementwise,
             ),
             priority,
         )

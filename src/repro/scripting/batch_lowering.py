@@ -328,7 +328,16 @@ class LoweredProgram:
         compute returns False before a single write, so the scalar rerun
         starts from an untouched world.
         """
-        computed = self.compute(world, env)
+        if not self._validate(world):
+            return False
+        obs = getattr(world, "obs", None)
+        tracer = obs.tracer if obs is not None else None
+        if tracer is None or not tracer.enabled:
+            computed = self._compute(world, env)
+        else:
+            with tracer.span("script.batch", cat="script") as sp:
+                computed = self._compute(world, env)
+                sp.set(lowered=computed is not None, loops=len(self.loops))
         if computed is None:
             return False
         for component, ids, written in computed:
@@ -336,29 +345,10 @@ class LoweredProgram:
                 world.update_batch(component, ids, written)
         return True
 
-    def compute(
-        self, world: Any, env: Mapping[str, Any]
-    ) -> list[tuple[str, list[int], dict[str, list]]] | None:
-        """The read/compute half: batched writes, not yet applied.
-
-        Returns ``None`` when validation or any loop's compute fails (the
-        scalar interpreter should run instead), else the per-loop
-        ``(component, ids, written_columns)`` list :meth:`execute` lands.
-        """
-        if not self._validate(world):
-            return None
-        obs = getattr(world, "obs", None)
-        tracer = obs.tracer if obs is not None else None
-        if tracer is None or not tracer.enabled:
-            return self._compute(world, env)
-        with tracer.span("script.batch", cat="script") as sp:
-            computed = self._compute(world, env)
-            sp.set(lowered=computed is not None, loops=len(self.loops))
-            return computed
-
     def _compute(
         self, world: Any, env: Mapping[str, Any]
     ) -> list[tuple[str, list[int], dict[str, list]]] | None:
+        """Per-loop ``(component, ids, written_columns)``; None on failure."""
         computed: list[tuple[str, list[int], dict[str, list]]] = []
         try:
             for loop in self.loops:

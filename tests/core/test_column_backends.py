@@ -117,7 +117,6 @@ class TestBackendEquivalence:
                     "P.x": [x + 1.5 for x in cols["P.x"]]
                 },
                 writes=["P.x"],
-                elementwise=True,
             )
             w.run(5)
             return w.state_hash()
