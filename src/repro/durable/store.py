@@ -102,6 +102,12 @@ class DurableStore:
             "entity INTEGER, event TEXT, evkey TEXT, body TEXT, "
             "dispatched INTEGER)"
         )
+        # The drain looks rows up by seq and by dispatched flag; indexed,
+        # both cost O(batch) whatever the (never-pruned) table size.
+        self.engine.execute("CREATE INDEX outbox_seq ON outbox (seq)")
+        self.engine.execute(
+            "CREATE INDEX outbox_dispatched ON outbox (dispatched)"
+        )
         self.engine.execute(
             "CREATE TABLE leases (lease_key TEXT PRIMARY KEY, owner TEXT, "
             "token INTEGER, expires INTEGER)"
@@ -180,6 +186,9 @@ class DurableStore:
         Returns True if any effect landed (False == pure replay noise).
         """
         self._require_live()
+        return self._apply_commit(record)
+
+    def _apply_commit(self, record: dict[str, Any]) -> bool:
         applied = False
         for entity, version, body in record["writes"]:
             rows = self.engine.execute(
@@ -220,9 +229,9 @@ class DurableStore:
         """Outbox rows not yet confirmed dispatched, in seq order."""
         self._require_live()
         sql = "SELECT * FROM outbox WHERE dispatched = 0 ORDER BY seq ASC"
-        if limit is not None:
-            sql += f" LIMIT {int(limit)}"
-        return self.engine.execute(sql)
+        if limit is None:
+            return self.engine.execute(sql)
+        return self.engine.execute(sql + " LIMIT ?", (int(limit),))
 
     def outbox_pending(self) -> int:
         """Undispatched outbox rows (the drain-lag gauge)."""
@@ -241,20 +250,26 @@ class DurableStore:
         self._require_live()
         if not seqs:
             return
+        self._apply_dispatch(seqs)
+        self.wal.append({"kind": "dispatch", "seqs": list(seqs)})
+
+    def _apply_dispatch(self, seqs: list[int]) -> None:
         for seq in seqs:
             self.engine.execute(
                 "UPDATE outbox SET dispatched = 1 WHERE seq = ?", (seq,)
             )
-        self.wal.append({"kind": "dispatch", "seqs": list(seqs)})
 
     def reset_dispatched(self) -> int:
         """Mark every outbox row undispatched (failover replay); count."""
         self._require_live()
-        self.engine.execute("UPDATE outbox SET dispatched = 0")
-        total = self.engine.rowcount
+        total = self._apply_dispatch_reset()
         self.wal.append({"kind": "dispatch-reset"})
         self.wal.flush()
         return total
+
+    def _apply_dispatch_reset(self) -> int:
+        self.engine.execute("UPDATE outbox SET dispatched = 0")
+        return self.engine.rowcount
 
     # -- lease records (table logic lives in leases.py) ----------------------------
 
@@ -319,6 +334,8 @@ class DurableStore:
         record's offset — rather than serving from a log it cannot
         fully trust.  Returns replay counters.
         """
+        # Not servable until the whole log has replayed cleanly.
+        self.crashed = True
         self.engine = MiniSQL()
         self._create_tables()
         self.commit_seq = 0
@@ -326,30 +343,9 @@ class DurableStore:
         self.fence = 0
         replayed = applied = dispatch_marks = 0
         for rec in self.wal.records(strict=True):
-            payload = rec.payload
-            kind = payload.get("kind")
             replayed += 1
-            if kind == "commit":
-                self.crashed = False
-                if self.apply_commit(payload):
-                    applied += 1
-                self.commit_seq = max(self.commit_seq, payload["commit"])
-                for _dedup, seq, *_rest in payload["events"]:
-                    self.outbox_seq = max(self.outbox_seq, seq)
-            elif kind == "dispatch":
-                self.crashed = False
-                for seq in payload["seqs"]:
-                    self.engine.execute(
-                        "UPDATE outbox SET dispatched = 1 WHERE seq = ?",
-                        (seq,),
-                    )
-                dispatch_marks += 1
-            elif kind == "dispatch-reset":
-                self.crashed = False
-                self.engine.execute("UPDATE outbox SET dispatched = 0")
-            elif kind == "lease":
-                self.crashed = False
-                self.apply_lease(payload)
+            applied += self._replay(rec.payload)
+            dispatch_marks += rec.payload.get("kind") == "dispatch"
         self.crashed = False
         self.recoveries += 1
         self.replayed_commits += applied
@@ -372,25 +368,27 @@ class DurableStore:
             if lsn <= applied_lsn:
                 continue
             self.wal.append(dict(payload))
-            kind = payload.get("kind")
-            if kind == "commit":
-                self.apply_commit(payload)
-                self.commit_seq = max(self.commit_seq, payload["commit"])
-                for _dedup, seq, *_rest in payload["events"]:
-                    self.outbox_seq = max(self.outbox_seq, seq)
-            elif kind == "dispatch":
-                for seq in payload["seqs"]:
-                    self.engine.execute(
-                        "UPDATE outbox SET dispatched = 1 WHERE seq = ?",
-                        (seq,),
-                    )
-            elif kind == "dispatch-reset":
-                self.engine.execute("UPDATE outbox SET dispatched = 0")
-            elif kind == "lease":
-                self.apply_lease(payload)
+            self._replay(payload)
             applied_lsn = lsn
         self.wal.flush()
         return applied_lsn
+
+    def _replay(self, payload: dict[str, Any]) -> bool:
+        """Apply one logged record to the projection (recovery, standby
+        ingest); True when it was a commit that landed an effect."""
+        kind = payload.get("kind")
+        if kind == "commit":
+            self.commit_seq = max(self.commit_seq, payload["commit"])
+            for _dedup, seq, *_rest in payload["events"]:
+                self.outbox_seq = max(self.outbox_seq, seq)
+            return self._apply_commit(payload)
+        if kind == "dispatch":
+            self._apply_dispatch(payload["seqs"])
+        elif kind == "dispatch-reset":
+            self._apply_dispatch_reset()
+        elif kind == "lease":
+            self.apply_lease(payload)
+        return False
 
     def ship_since(self, lsn: int) -> list[tuple[int, dict[str, Any]]]:
         """The durable tail past ``lsn`` as ``(lsn, payload)`` pairs."""
@@ -415,6 +413,7 @@ class DurableStore:
             "entities": 0 if self.crashed else self.entity_count(),
             "fence": self.fence,
             "recoveries": self.recoveries,
+            "rows_examined": self.engine.rows_examined,
         }
 
     def __repr__(self) -> str:  # pragma: no cover

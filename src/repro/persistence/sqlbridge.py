@@ -16,6 +16,7 @@ actually issues:
     SELECT name, gold FROM t WHERE gold >= ? ORDER BY gold DESC LIMIT 10
     UPDATE t SET gold = ? WHERE id = ?
     DELETE FROM t WHERE id = ?
+    CREATE INDEX t_gold ON t (gold)
 
 The engine also implements the :class:`~repro.persistence.checkpoint.
 BackingStore` protocol via :class:`SQLBackingStore`, so checkpoints
@@ -26,7 +27,9 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_left, insort
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Iterable
 
 from repro.errors import SQLError
@@ -44,13 +47,17 @@ _KEYWORDS = {
     "CREATE", "TABLE", "PRIMARY", "KEY", "INSERT", "INTO", "VALUES",
     "SELECT", "FROM", "WHERE", "AND", "ORDER", "BY", "DESC", "ASC",
     "LIMIT", "UPDATE", "SET", "DELETE", "INTEGER", "REAL", "TEXT", "BLOB",
-    "COUNT", "NULL",
+    "COUNT", "NULL", "INDEX", "ON",
 }
 
 _COLUMN_TYPES = {"INTEGER": int, "REAL": float, "TEXT": str, "BLOB": bytes}
 
 
-def _tokenize(sql: str) -> list[tuple[str, Any]]:
+@lru_cache(maxsize=256)
+def _tokenize(sql: str) -> tuple[tuple[str, Any], ...]:
+    """Token stream of one SQL text — a pure function of the text, so
+    each distinct statement is tokenised once (parameters travel
+    separately as ``?``, which keeps the text set small)."""
     tokens: list[tuple[str, Any]] = []
     pos = 0
     while pos < len(sql):
@@ -77,7 +84,7 @@ def _tokenize(sql: str) -> list[tuple[str, Any]]:
         else:
             tokens.append(("op", m.group("op")))
     tokens.append(("eof", None))
-    return tokens
+    return tuple(tokens)
 
 
 @dataclass
@@ -109,6 +116,38 @@ class _Table:
         pk = [c.name for c in columns if c.primary_key]
         self.pk = pk[0] if pk else None
         self._pk_index: dict[Any, int] = {}
+        #: Secondary equality indexes: column -> value -> ascending
+        #: positions in ``rows`` (so candidates come back in table order).
+        self.indexes: dict[str, dict[Any, list[int]]] = {}
+
+    def index_add(self, column: str, value: Any, pos: int) -> None:
+        """Enter row ``pos`` under ``value`` in one column's index."""
+        index = self.indexes[column]
+        bucket = index.get(value)
+        if bucket is None:
+            index[value] = [pos]
+        else:
+            insort(bucket, pos)
+
+    def index_remove(self, column: str, value: Any, pos: int) -> None:
+        """Drop row ``pos`` from under ``value`` in one column's index."""
+        index = self.indexes[column]
+        bucket = index[value]
+        if len(bucket) == 1:
+            del index[value]
+        else:
+            del bucket[bisect_left(bucket, pos)]
+
+    def reindex(self) -> None:
+        """Rebuild every index from ``rows`` (positions have shifted)."""
+        if self.pk is not None:
+            self._pk_index = {
+                row[self.pk]: i for i, row in enumerate(self.rows)
+            }
+        for column in self.indexes:
+            self.indexes[column] = {}
+            for pos, row in enumerate(self.rows):
+                self.index_add(column, row[column], pos)
 
 
 class MiniSQL:
@@ -116,7 +155,11 @@ class MiniSQL:
 
     def __init__(self) -> None:
         self._tables: dict[str, _Table] = {}
+        self._index_names: set[str] = set()
         self.statements_executed = 0
+        #: Rows WHERE predicates were evaluated on, summed over all
+        #: statements — the work an index lookup saves over a scan.
+        self.rows_examined = 0
         #: Rows affected by the most recent INSERT/UPDATE/DELETE (rows
         #: returned, for SELECT) — the signal optimistic CAS reads to
         #: learn whether its guarded UPDATE actually landed.
@@ -129,11 +172,14 @@ class MiniSQL:
     ) -> list[dict[str, Any]]:
         """Run one statement; SELECTs return rows, others return []."""
         self.statements_executed += 1
-        tokens = _tokenize(sql)
-        parser = _Parser(tokens, list(params))
+        parser = _Parser(_tokenize(sql), list(params))
         kind = parser.peek_kw()
         if kind == "CREATE":
-            self._create(parser)
+            parser.expect_kw("CREATE")
+            if parser.try_kw("INDEX"):
+                self._create_index(parser)
+            else:
+                self._create(parser)
             self.rowcount = 0
             return []
         if kind == "INSERT":
@@ -163,7 +209,6 @@ class MiniSQL:
     # -- statement implementations ---------------------------------------------------
 
     def _create(self, p: "_Parser") -> None:
-        p.expect_kw("CREATE")
         p.expect_kw("TABLE")
         name = p.expect_ident()
         if name in self._tables:
@@ -186,6 +231,23 @@ class MiniSQL:
         if len({c.name for c in columns}) != len(columns):
             raise SQLError("duplicate column name")
         self._tables[name] = _Table(name, columns)
+
+    def _create_index(self, p: "_Parser") -> None:
+        name = p.expect_ident()
+        p.expect_kw("ON")
+        table = self._require(p.expect_ident())
+        p.expect_op("(")
+        column = p.expect_ident()
+        p.expect_op(")")
+        p.expect_eof()
+        if column not in table.by_name:
+            raise SQLError(f"no column {column!r} in {table.name}")
+        if name in self._index_names:
+            raise SQLError(f"index {name!r} already exists")
+        self._index_names.add(name)
+        if column not in table.indexes:
+            table.indexes[column] = {}
+            table.reindex()
 
     def _insert(self, p: "_Parser") -> None:
         p.expect_kw("INSERT")
@@ -219,6 +281,8 @@ class MiniSQL:
                     f"duplicate primary key {pk_value!r} in {table.name}"
                 )
             table._pk_index[pk_value] = len(table.rows)
+        for column in table.indexes:
+            table.index_add(column, row[column], len(table.rows))
         table.rows.append(row)
 
     def _select(self, p: "_Parser") -> list[dict[str, Any]]:
@@ -257,7 +321,7 @@ class MiniSQL:
                 raise SQLError("LIMIT must be a non-negative integer")
             limit = limit_val
         p.expect_eof()
-        matched = self._match_rows(table, predicate)
+        matched = [table.rows[pos] for pos in self._match_rows(table, predicate)]
         if count_star:
             return [{"count": len(matched)}]
         if order_col is not None:
@@ -291,10 +355,14 @@ class MiniSQL:
         predicate = self._where(p, table)
         p.expect_eof()
         matched = self._match_rows(table, predicate)
-        for row in matched:
+        for pos in matched:
+            row = table.rows[pos]
             for col, value in updates:
                 if col == table.pk and value != row[col]:
                     raise SQLError("updating primary keys is not supported")
+                if col in table.indexes and value != row[col]:
+                    table.index_remove(col, row[col], pos)
+                    table.index_add(col, value, pos)
                 row[col] = value
         return len(matched)
 
@@ -304,13 +372,12 @@ class MiniSQL:
         table = self._require(p.expect_ident())
         predicate = self._where(p, table)
         p.expect_eof()
-        doomed = self._match_rows(table, predicate)
-        doomed_ids = {id(r) for r in doomed}
-        table.rows = [r for r in table.rows if id(r) not in doomed_ids]
-        if table.pk is not None:
-            table._pk_index = {
-                row[table.pk]: i for i, row in enumerate(table.rows)
-            }
+        doomed = set(self._match_rows(table, predicate))
+        if doomed:
+            table.rows = [
+                r for pos, r in enumerate(table.rows) if pos not in doomed
+            ]
+            table.reindex()
         return len(doomed)
 
     # -- where handling -------------------------------------------------------------------
@@ -330,20 +397,27 @@ class MiniSQL:
 
     def _match_rows(
         self, table: _Table, conds: list[tuple[str, str, Any]]
-    ) -> list[dict[str, Any]]:
-        # Primary-key equality takes the index path.
+    ) -> list[int]:
+        """Positions in ``table.rows`` (ascending) matching every condition."""
+        rows = table.rows
+        # The first equality on the primary key or an indexed column
+        # narrows the candidates; anything else scans the table.
         for col, op, value in conds:
             if op == "=" and col == table.pk:
                 idx = table._pk_index.get(value)
-                candidates = [table.rows[idx]] if idx is not None else []
+                candidates = [] if idx is None else [idx]
+                break
+            if op == "=" and col in table.indexes:
+                candidates = table.indexes[col].get(value, ())
                 break
         else:
-            candidates = list(table.rows)
-        out = []
-        for row in candidates:
-            if all(_cmp(row[c], op, v) for c, op, v in conds):
-                out.append(row)
-        return out
+            candidates = range(len(rows))
+        self.rows_examined += len(candidates)
+        return [
+            pos
+            for pos in candidates
+            if all(_cmp(rows[pos][c], op, v) for c, op, v in conds)
+        ]
 
     def _require(self, name: str) -> _Table:
         table = self._tables.get(name)
@@ -376,7 +450,7 @@ def _cmp(lhs: Any, op: str, rhs: Any) -> bool:
 class _Parser:
     """Token-stream helper shared by the statement parsers."""
 
-    def __init__(self, tokens: list[tuple[str, Any]], params: list[Any]):
+    def __init__(self, tokens: tuple[tuple[str, Any], ...], params: list[Any]):
         self.tokens = tokens
         self.pos = 0
         self.params = params

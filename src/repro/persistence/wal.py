@@ -8,7 +8,8 @@ the unflushed tail — so recovery tests exercise the real torn-tail case.
 
 Records are dicts serialized as JSON lines with an LSN and a CRC; the
 reader detects and stops at corruption, which is how a real log handles a
-torn final write.
+torn final write.  LSNs are dense, so the LSN is the offset: a tail read
+seeks to its first record and truncation is a slice.
 """
 
 from __future__ import annotations
@@ -45,7 +46,10 @@ class WriteAheadLog:
         self._durable: list[str] = []  # encoded lines, the "disk"
         self._buffer: list[str] = []
         self._next_lsn = 1
-        self._truncated_below = 1
+        #: LSN of ``_durable[0]``.  LSNs are dense and append-only, so
+        #: ``_durable[i]`` always holds LSN ``_first_lsn + i``: crash()
+        #: only drops the unflushed buffer, truncate_until() only a prefix.
+        self._first_lsn = 1
         self.fsyncs = 0
         self.bytes_written = 0
         #: Set by :meth:`records` when a read hit a corrupt record and
@@ -163,18 +167,12 @@ class WriteAheadLog:
     def truncate_until(self, lsn: int) -> int:
         """Drop durable records with LSN < ``lsn`` (post-checkpoint GC).
 
-        Returns records removed.
+        Returns records removed.  The LSN is the offset, so this is a
+        slice: nothing is decoded (or verified) on the way out.
         """
-        kept: list[str] = []
-        removed = 0
-        for line in self._durable:
-            rec = _try_decode(line)
-            if rec is not None and rec.lsn < lsn:
-                removed += 1
-            else:
-                kept.append(line)
-        self._durable = kept
-        self._truncated_below = max(self._truncated_below, lsn)
+        removed = min(max(lsn - self._first_lsn, 0), len(self._durable))
+        self._durable = self._durable[removed:]
+        self._first_lsn += removed
         return removed
 
     # -- reading ---------------------------------------------------------------------------
@@ -184,16 +182,24 @@ class WriteAheadLog:
     ) -> Iterator[WALRecord]:
         """Durable records with LSN >= ``from_lsn``.
 
+        The read seeks: it starts at offset ``from_lsn - first retained
+        LSN`` (at the first retained record when ``from_lsn`` is below
+        it) and checks the CRC of exactly the records it returns.  A full
+        scan (``records()``, recovery's ``strict=True`` read) therefore
+        verifies every retained record; a tail read does not vouch for
+        the prefix it skipped.
+
         A record that fails its checksum ends the scan: by default the
         reader stops silently (sets :attr:`corruption_detected`, the
         torn-tail convention), while ``strict=True`` raises a
         :class:`~repro.errors.WalCorruptionError` carrying the bad
-        record's offset in the durable log and the last LSN that decoded
-        cleanly — the error contract the durable serving tier catches to
-        refuse serving from a log it cannot trust.
+        record's offset in the durable log and the LSN just before it
+        (0 at offset 0) — the error contract the durable serving tier
+        catches to refuse serving from a log it cannot trust.
         """
-        last_good = 0
-        for offset, line in enumerate(self._durable):
+        start = max(from_lsn - self._first_lsn, 0)
+        last_good = self._first_lsn + start - 1 if start else 0
+        for offset, line in enumerate(self._durable[start:], start):
             rec = _try_decode(line)
             if rec is None:
                 # Torn tail: everything after the first bad record is
@@ -208,8 +214,7 @@ class WriteAheadLog:
                     )
                 return
             last_good = rec.lsn
-            if rec.lsn >= from_lsn:
-                yield rec
+            yield rec
 
     def durable_count(self) -> int:
         """Number of durable records currently retained."""

@@ -169,3 +169,36 @@ class TestFailpointMechanics:
             store.recover()
         assert exc.value.offset == 1
         assert exc.value.last_good_lsn == 1
+
+    def test_failed_recover_leaves_the_store_refusing_service(self, store):
+        from repro.errors import DurableError, WalCorruptionError
+
+        for n in range(4):
+            run_unit(store, transfer_op(n))
+        store.crash()
+        damaged = store.wal._durable[3]
+        store.wal.corrupt_at(3)
+        with pytest.raises(WalCorruptionError):
+            store.recover()
+        # A truncated prefix replayed before the bad record; serving
+        # from it would be serving a history the log cannot vouch for.
+        assert store.crashed
+        with pytest.raises(DurableError):
+            store.read_entity(1)
+        with pytest.raises(DurableError):
+            run_unit(store, transfer_op(9))
+        # Repair the log: the next recover serves the full history.
+        store.wal._durable[3] = damaged
+        store.recover()
+        assert store.read_entity(1)[0] == {"gold": 80}
+        assert total(store) == 200
+
+    def test_failed_recover_of_a_live_store_stops_serving(self, store):
+        from repro.errors import DurableError, WalCorruptionError
+
+        run_unit(store, transfer_op(1))
+        store.wal.corrupt_at(1)
+        with pytest.raises(WalCorruptionError):
+            store.recover()
+        with pytest.raises(DurableError):
+            store.read_entity(1)

@@ -95,3 +95,32 @@ class TestDropBurstRecovery:
         frozen = freeze_and_settle(cluster)
         assert rep.state_hash() == frozen  # fully healed
         assert not cluster.failovers  # heartbeats were never affected
+
+
+class TestShipCost:
+    def test_healthy_shipping_decodes_each_flushed_record_once(
+        self, monkeypatch
+    ):
+        """``ship_since`` seeks to the un-shipped tail: over 200 ticks to
+        one replica each journal record is CRC-checked and decoded once,
+        not once per tick since it was written."""
+        from repro.persistence import wal as wal_module
+
+        decodes = []
+        real = wal_module._try_decode
+
+        def spy(line):
+            decodes.append(line)
+            return real(line)
+
+        monkeypatch.setattr(wal_module, "_try_decode", spy)
+        cluster, cfg, _ = build_replicated(
+            replication_factor=1, ship_interval=1
+        )
+        run_workload(cluster, cfg, 200)
+        flushed = sum(host.journal.flushed_lsn for host in cluster.shards)
+        assert flushed > 200 * len(cluster.shards)
+        assert len(decodes) == flushed
+        for host in cluster.shards:
+            assert host.journal.wal.truncate_until(host.journal.flushed_lsn) > 0
+        assert len(decodes) == flushed
