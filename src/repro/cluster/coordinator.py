@@ -340,8 +340,11 @@ class ClusterCoordinator:
         for host in self.shards:
             if "Position" not in host.world.component_names():
                 continue
-            for eid, row in host.world.table("Position").rows():
-                out[eid] = (row["x"], row["y"])
+            table = host.world.table("Position")
+            out.update(
+                zip(table.entity_ids,
+                    zip(table.column_view("x"), table.column_view("y")))
+            )
         return out
 
     def migrate(

@@ -39,6 +39,8 @@ from __future__ import annotations
 
 import os
 from array import array
+from itertools import compress, count
+from operator import ne
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -105,6 +107,23 @@ def make_column(fdef: "FieldDef", backend: str | None = None) -> "list | TypedCo
 
 
 _I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
+
+
+def _changed(data: Any, slots: Sequence[int], values: Sequence[Any]) -> list[int]:
+    """Positions ``i`` where ``data[slots[i]] != values[i]``, in one C-level pass."""
+    return list(compress(count(), map(ne, map(data.__getitem__, slots), values)))
+
+
+def scatter_cells(
+    col: "list | TypedColumn", slots: Sequence[int], values: Sequence[Any]
+) -> list[int]:
+    """:meth:`TypedColumn.scatter` for any column store, plain lists included."""
+    if isinstance(col, TypedColumn):
+        return col.scatter(slots, values)
+    pos = _changed(col, slots, values)
+    for i in pos:
+        col[slots[i]] = values[i]
+    return pos
 
 
 class TypedColumn:
@@ -203,23 +222,32 @@ class TypedColumn:
 
     # -- bulk writes ---------------------------------------------------------
 
-    def replace(self, values: Sequence[Any]) -> None:
-        """Overwrite every cell with already-validated ``values``, in place.
+    def scatter(self, slots: Sequence[int], values: Sequence[Any]) -> list[int]:
+        """Write already-validated ``values[i]`` into cell ``slots[i]``, in place.
 
-        Length must equal the current row count; the caller (the table's
-        ``update_column`` row-order fast path) has validated each value
-        against the schema.  Packed backends convert and copy at C speed;
-        an int that does not fit 64 bits demotes the column first.  The
-        write is in place, so exported views observe the new values.
+        The one bulk write the table's ``update_column`` goes through.
+        Slots must be distinct.  Only cells whose value differs are
+        written, and their positions ``i`` come back in order.  Numpy
+        compares and writes with vectorised fancy indexing; ``array`` and
+        demoted storage compare in one C-level pass and write in a loop.
+        An int that does not fit 64 bits demotes the column before
+        anything is written.  The write is in place, so exported views
+        observe the new values.
         """
+        if not self.demoted:
+            try:
+                return self._packed_scatter(slots, values)
+            except OverflowError:
+                self._demote()
+        return scatter_cells(self._data, slots, values)
+
+    def replace(self, values: Sequence[Any]) -> None:
+        """:meth:`scatter` over every row: the column becomes ``values``."""
         if len(values) != len(self):
             raise ValueError(
                 f"replace: {len(values)} values for {len(self)} rows"
             )
-        if self.demoted:
-            self._data[:] = values
-        else:
-            self._packed_replace(values)
+        self.scatter(range(len(values)), values)
 
     # -- subclass hooks ------------------------------------------------------
 
@@ -244,7 +272,7 @@ class TypedColumn:
     def _packed_view(self) -> memoryview:
         raise NotImplementedError
 
-    def _packed_replace(self, values: Sequence[Any]) -> None:
+    def _packed_scatter(self, slots: Sequence[int], values: Sequence[Any]) -> list[int]:
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -297,11 +325,14 @@ class ArrayColumn(TypedColumn):
     def _packed_view(self) -> memoryview:
         return memoryview(self._data).toreadonly()
 
-    def _packed_replace(self, values: Sequence[Any]) -> None:
-        try:
-            self._data[:] = array(self.typecode, values)
-        except OverflowError:  # an int beyond 64 bits: demote, keep values
-            self._demote()[:] = values
+    def _packed_scatter(self, slots: Sequence[int], values: Sequence[Any]) -> list[int]:
+        data = self._data
+        pos = _changed(data, slots, values)
+        # Packing first raises any OverflowError before a cell is written.
+        packed = array(self.typecode, [values[i] for i in pos])
+        for i, v in zip(pos, packed):
+            data[slots[i]] = v
+        return pos
 
     def tolist(self) -> list:
         return self._data.tolist() if not self.demoted else list(self._data)
@@ -380,11 +411,13 @@ class NumpyColumn(TypedColumn):
         self._data = self._data[: self._n].tolist()
         return self._data
 
-    def _packed_replace(self, values: Sequence[Any]) -> None:
-        try:
-            self._data[: self._n] = _np.asarray(values, dtype=self._data.dtype)
-        except OverflowError:
-            self._demote()[:] = values
+    def _packed_scatter(self, slots: Sequence[int], values: Sequence[Any]) -> list[int]:
+        # Converting first raises any OverflowError before a cell is written.
+        new = _np.asarray(values, dtype=self._data.dtype)
+        idx = _np.asarray(slots, dtype=_np.intp)
+        pos = _np.flatnonzero(self._data[idx] != new)
+        self._data[idx[pos]] = new[pos]
+        return pos.tolist()
 
     def tolist(self) -> list:
         return list(self._data) if self.demoted else self._data[: self._n].tolist()

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, Sequence
 
 from repro.errors import SchemaError
 
@@ -29,6 +29,10 @@ FIELD_TYPES = {
 }
 
 _NUMERIC_TYPES = ("int", "float")
+
+#: Exact value types a float column accepts without a per-value check
+#: (``type(True)`` is ``bool``, so bools still take the per-value path).
+_FLOAT_KINDS = frozenset({float, int})
 
 
 @dataclass(frozen=True)
@@ -112,6 +116,29 @@ class FieldDef:
                 f"got {type(value).__name__}"
             )
         return value
+
+    def validate_column(self, values: Sequence[Any]) -> list:
+        """:meth:`validate` over a whole column, returning the coerced list.
+
+        The set-at-a-time write path validates every value before it
+        writes any.  When the column holds only the field's exact storage
+        type (or ints for a float field) the check is one C-level pass
+        over the value types plus a NaN scan; anything else falls back to
+        :meth:`validate` per value, so the first offending value raises
+        the same :class:`SchemaError` it would raise alone.
+        """
+        kinds = set(map(type, values))
+        if self.type_name == "float":
+            if kinds <= _FLOAT_KINDS:
+                out = list(map(float, values)) if int in kinds else list(values)
+                # NaN propagates through a sum, so a non-NaN total proves
+                # there is none; a NaN total (or inf - inf) takes the
+                # per-value path, which decides exactly.
+                if not math.isnan(sum(out)):
+                    return out
+        elif kinds <= {self.py_type}:
+            return list(values)
+        return [self.validate(v) for v in values]
 
 
 class ComponentSchema:

@@ -157,12 +157,21 @@ class QueryPlan:
             sp.set(driver=self.access.kind, rows=len(ids))
             return ids
 
+    def candidates(self, world: "GameWorld") -> list[int]:
+        """The access path's ids that every joined table holds, in its order.
+
+        Set-at-a-time: one membership pass per table.  The driver pass
+        drops stale index candidates.  The access path's order is kept,
+        because ORDER BY breaks ties with a stable sort.
+        """
+        ids = self.access.fetch(world)
+        for comp in (self.access.component, *self.probe_components):
+            members = world.table(comp).members()
+            ids = [e for e in ids if e in members]
+        return ids
+
     def _execute_batch(self, world: "GameWorld") -> list[int]:
-        driver_table = world.table(self.access.component)
-        ids = [e for e in self.access.fetch(world) if e in driver_table]
-        for comp in self.probe_components:
-            table = world.table(comp)
-            ids = [e for e in ids if e in table]
+        ids = self.candidates(world)
         for comp, fields, batch_fn in self._filters(world):
             if not ids:
                 break

@@ -349,19 +349,10 @@ class Query:
         return ResultSet(self.world, tuple(self._components), ids, chosen)
 
     def _run_plan(self, plan: Any) -> list[int]:
-        out = []
-        probes = [self.world.table(c) for c in plan.probe_components]
-        driver_table = self.world.table(plan.access.component)
-        for entity_id in plan.access.fetch(self.world):
-            if entity_id not in driver_table:
-                continue  # index returned a stale candidate; be safe
-            if any(entity_id not in t for t in probes):
-                continue
-            if not plan.residual(entity_id):
-                continue
-            out.append(entity_id)
-        out = self._apply_order_limit(out)
-        return out
+        ids = plan.candidates(self.world)
+        if plan.residual_count:
+            ids = [e for e in ids if plan.residual(e)]
+        return self._apply_order_limit(ids)
 
     def count(self) -> int:
         """Number of matching entities."""

@@ -14,10 +14,10 @@ replication) with fine-grained deltas.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, KeysView, Mapping, Sequence
 
 from repro.core.component import ComponentSchema
-from repro.core.columns import TypedColumn, make_column
+from repro.core.columns import TypedColumn, make_column, scatter_cells
 from repro.errors import ComponentMissingError, DuplicateComponentError, SchemaError
 
 #: Observer callback signature: (kind, entity_id, field_values) where kind is
@@ -140,6 +140,10 @@ class ComponentTable:
         """Snapshot of all entity ids currently in the table."""
         return tuple(self._entities)
 
+    def members(self) -> KeysView[int]:
+        """Live set view of the table's entity ids (C-speed membership)."""
+        return self._slot_of.keys()
+
     # -- mutation -----------------------------------------------------------
 
     def insert(self, entity_id: int, values: Mapping[str, Any]) -> dict[str, Any]:
@@ -198,72 +202,82 @@ class ComponentTable:
     ) -> int:
         """Set-at-a-time update of one column; returns changed-row count.
 
-        This is the columnar fast path used by
-        :class:`~repro.core.systems.BatchSystem`: values are validated and
-        written directly into the column array.  Observers that need
-        per-entity deltas still receive them (indexes must stay exact),
-        but observers may opt out per field via ``wants_update(field)``
-        on themselves (or on a bound method's owner) — an index manager
-        with no index over the written field does.  With no interested
-        observer and ids in row order, the whole column is replaced in
-        one buffer-speed write — the "join-processing on GPUs" execution
-        style the tutorial describes.
+        See :meth:`write_column`, which this counts.
+        """
+        return len(self.write_column(field, entity_ids, values)[0])
+
+    def write_column(
+        self, field: str, entity_ids: Iterable[int], values: Iterable[Any]
+    ) -> tuple[Sequence[int], list[Any]]:
+        """Set-at-a-time update of one column; returns the changed cells.
+
+        The columnar write path behind
+        :class:`~repro.core.systems.BatchSystem` and lowered scripts:
+        resolve every slot, validate the whole column, materialise rows
+        an online alter has not migrated yet, scatter (compare, then write
+        only the changed cells), then tell observers.  Nothing is written unless
+        every id exists and every value validates.  Pairs past the shorter
+        of ``entity_ids`` / ``values`` are ignored.  Observers that opt in
+        via ``wants_update(field)`` (on themselves or a bound method's
+        owner; absence means interested) get one ``"update"`` delta per
+        changed cell, in ids order, after the write.
+
+        Returns ``(ids, values)`` of the changed cells, in ids order,
+        holding the stored (validated) values: the column change event
+        :meth:`~repro.core.world.GameWorld.set_column` hands its hooks.
         """
         fdef = self.schema.field(field)
+        ids = entity_ids if isinstance(entity_ids, (list, tuple)) else list(
+            entity_ids
+        )
+        vals = values if isinstance(values, (list, tuple)) else list(values)
+        n = min(len(ids), len(vals))
+        ids, vals = ids[:n], vals[:n]
+        slot_of = self._slot_of
+        try:
+            slots = list(map(slot_of.__getitem__, ids))
+        except KeyError as exc:
+            raise ComponentMissingError(
+                f"entity {exc.args[0]} has no component {self.schema.name}"
+            ) from None
+        new = fdef.validate_column(vals)
         a = self._alter
         if a is not None and field in a.affected and a.unmigrated:
-            entity_ids = list(entity_ids)
-            for eid in entity_ids:
+            for eid in ids:
                 if eid in a.unmigrated:
                     self._materialize(eid)
         col = self._columns[field]
         interested = [
             obs for obs in self._observers if _wants_update(obs, field)
         ]
-        changed = 0
-        if interested:
-            for entity_id, value in zip(entity_ids, values):
-                slot = self._require_slot(entity_id)
-                new = fdef.validate(value)
-                old = col[slot]
-                if old != new:
-                    col[slot] = new
-                    changed += 1
-                    self.version += 1
-                    for obs in interested:
-                        obs("update", entity_id, {field: (old, new)})
-            return changed
-        ids = entity_ids if isinstance(entity_ids, (list, tuple)) else list(
-            entity_ids
-        )
-        if self._ids_in_row_order(ids):
-            # Row-order bulk write: one validation pass, one compare
-            # against the old contents, one in-place buffer replace.
-            validate = fdef.validate
-            new_vals = [validate(v) for v in values]
-            if len(new_vals) == len(ids):
-                old_vals = (
-                    col.tolist() if isinstance(col, TypedColumn) else col
+        if len(set(slots)) < n:
+            # Repeated ids: each write must see the one before it, so
+            # this case alone stays a sequential loop.
+            pos, old = [], []
+            for i, slot in enumerate(slots):
+                prev = col[slot]
+                if prev != new[i]:
+                    col[slot] = new[i]
+                    pos.append(i)
+                    old.append(prev)
+        else:
+            if interested:
+                prev = (
+                    col.gather(slots) if isinstance(col, TypedColumn)
+                    else [col[s] for s in slots]
                 )
-                for old, new in zip(old_vals, new_vals):
-                    if old != new:
-                        changed += 1
-                if changed:
-                    if isinstance(col, TypedColumn):
-                        col.replace(new_vals)
-                    else:
-                        col[:] = new_vals
-                self.version += changed
-                return changed
-            values = new_vals  # fewer values than rows: per-row semantics
-        for entity_id, value in zip(ids, values):
-            slot = self._require_slot(entity_id)
-            new = fdef.validate(value)
-            if col[slot] != new:
-                col[slot] = new
-                changed += 1
-        self.version += changed
-        return changed
+            pos = scatter_cells(col, slots, new)
+            old = [prev[i] for i in pos] if interested else ()
+        self.version += len(pos)
+        if len(pos) < n:
+            ids = [ids[i] for i in pos]
+            new = [new[i] for i in pos]
+        if interested:
+            for eid, before, after in zip(ids, old, new):
+                payload = {field: (before, after)}
+                for obs in interested:
+                    obs("update", eid, payload)
+        return ids, new
 
     def delete(self, entity_id: int) -> dict[str, Any]:
         """Remove the row for ``entity_id``; returns the removed values."""

@@ -13,7 +13,7 @@ persistence package journals its mutations via a change hook.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.core.aggregates import AggregateView, TopKView
 from repro.core.clock import FrameBudget, FrameClock
@@ -41,6 +41,34 @@ from repro.schema.catalog import Catalog
 #: (op, entity_id, component, payload) with op in
 #: "spawn" | "destroy" | "attach" | "detach" | "update".
 ChangeHook = Callable[[str, int, str | None, Mapping[str, Any] | None], None]
+
+#: Column-event signature: (component, field, entity_ids, values), one call
+#: per :meth:`GameWorld.set_column`, carrying only the changed cells.
+ColumnHook = Callable[[str, str, Sequence[int], Sequence[Any]], None]
+
+
+def _column_handler(hook: ChangeHook) -> ColumnHook:
+    """How ``hook`` receives a set-at-a-time write.
+
+    A hook that exposes ``on_column_change(component, field, ids,
+    values)`` — on itself, or on the owner when the hook is a bound
+    method (e.g. ``ClusterView._on_change``) — takes the column event
+    whole.  Any other hook speaks only the row protocol and gets the
+    shared per-cell adapter: one ``("update", eid, component, {field:
+    value})`` call per changed cell, in write order.
+    """
+    owner = getattr(hook, "__self__", hook)
+    on_column = getattr(owner, "on_column_change", None)
+    if on_column is not None:
+        return on_column
+
+    def per_cell(
+        component: str, field: str, ids: Sequence[int], values: Sequence[Any]
+    ) -> None:
+        for eid, value in zip(ids, values):
+            hook("update", eid, component, {field: value})
+
+    return per_cell
 
 
 class GameWorld:
@@ -120,7 +148,13 @@ class GameWorld:
     # ------------------------------------------------------------- change hooks
 
     def add_change_hook(self, hook: ChangeHook) -> None:
-        """Register a hook receiving every logical state change."""
+        """Register a hook receiving every logical state change.
+
+        Row events arrive as ``hook(op, entity_id, component, payload)``.
+        A :meth:`set_column` write arrives as one column event on the
+        hook's ``on_column_change`` (itself or a bound method's owner)
+        when it has one, else through a per-cell row adapter.
+        """
         self._change_hooks.append(hook)
 
     def remove_change_hook(self, hook: ChangeHook) -> None:
@@ -240,24 +274,16 @@ class GameWorld:
 
         The columnar fast path behind :class:`BatchSystem`: index and
         aggregate maintenance stay exact (the table emits per-entity
-        deltas to its observers), and change hooks fire per entity only
-        when any are registered.
+        deltas to its observers), and every change hook receives one
+        column event ``(component, field, ids, values)`` holding only the
+        cells that changed (see :meth:`add_change_hook`).  Returns the
+        number of changed cells.
         """
-        table = self.table(component)
-        hooks = self._change_hooks
-        if not hooks:
-            return table.update_column(field, entity_ids, values)
-        ids = list(entity_ids)
-        vals = list(values)
-        before = table.gather(field, ids)
-        changed = table.update_column(field, ids, vals)
-        if changed:
-            for eid, old, new in zip(ids, before, vals):
-                if old != new:
-                    payload = {field: new}
-                    for hook in hooks:
-                        hook("update", eid, component, payload)
-        return changed
+        ids, vals = self.table(component).write_column(field, entity_ids, values)
+        if ids:
+            for hook in self._change_hooks:
+                _column_handler(hook)(component, field, ids, vals)
+        return len(ids)
 
     def update_batch(
         self,

@@ -12,7 +12,9 @@ Two source adapters feed the stream: :class:`WorldView` over a single
 :class:`~repro.core.world.GameWorld` and :class:`ClusterView` over a
 sharded :class:`~repro.cluster.coordinator.ClusterCoordinator`.  Both
 capture dirtiness through change hooks, so the gateway never diffs
-whole snapshots.
+whole snapshots: a set-at-a-time write arrives as one column event
+(``on_column_change``) and lands in per-field ``{eid: value}`` maps that
+``collect`` merges once per tick.
 
 **Exactly-once membership.**  Enter/exit events are guarded by a
 per-client *known set*: an enter is emitted only for an entity the
@@ -52,7 +54,60 @@ class Snapshot:
         self.dirty = dirty
 
 
-class WorldView:
+def _pairs(table: Any, fields: tuple[str, str]) -> dict[int, tuple[Any, Any]]:
+    """``{eid: (a, b)}`` for two fields of a table, read off its column views."""
+    fa, fb = fields
+    return dict(
+        zip(table.entity_ids, zip(table.column_view(fa), table.column_view(fb)))
+    )
+
+
+class _DirtyFields:
+    """Dirtiness of the replicated components, kept per field.
+
+    Each field maps entity id -> latest value.  A row event (``set``,
+    ``attach``) marks its fields one entity at a time; a ``set_column``
+    write arrives whole as a column event.  :meth:`_drain` folds the
+    maps into the ``{eid: {field: value}}`` a :class:`Snapshot` carries,
+    once per tick.
+    """
+
+    def __init__(self, replicated: tuple[str, ...]):
+        self.replicated = tuple(replicated)
+        self._dirty: dict[str, dict[int, Any]] = {}
+
+    def _mark_row(self, entity_id: int, component: str | None, payload: Any) -> None:
+        if component not in self.replicated:
+            return
+        dirty = self._dirty
+        for field, value in (payload or {}).items():
+            cells = dirty.get(field)
+            if cells is None:
+                cells = dirty[field] = {}
+            cells[entity_id] = value
+
+    def on_column_change(
+        self, component: str, field: str, ids: Any, values: Any
+    ) -> None:
+        """Column event from ``set_column``: mark the changed cells dirty."""
+        if component in self.replicated:
+            self._dirty.setdefault(field, {}).update(zip(ids, values))
+
+    def _drain(self, live: Any = None) -> dict[int, dict[str, Any]]:
+        """Merged dirtiness since the last drain; entities not in ``live`` drop."""
+        merged: dict[int, dict[str, Any]] = {}
+        for field, cells in self._dirty.items():
+            for eid, value in cells.items():
+                fields = merged.get(eid)
+                if fields is not None:
+                    fields[field] = value
+                elif live is None or eid in live:
+                    merged[eid] = {field: value}
+        self._dirty = {}
+        return merged
+
+
+class WorldView(_DirtyFields):
     """Source adapter over a single :class:`GameWorld`.
 
     ``replicated`` names the components whose fields go to clients;
@@ -67,22 +122,22 @@ class WorldView:
         velocity_component: str = "Velocity",
         velocity_fields: tuple[str, str] = ("vx", "vy"),
     ):
+        super().__init__(replicated)
         self.world = world
-        self.replicated = tuple(replicated)
         self.velocity_component = velocity_component
         self.velocity_fields = velocity_fields
         self.dt = world.clock.dt
-        self._dirty: dict[int, dict[str, Any]] = {}
         self._hook = self._on_change
         world.add_change_hook(self._hook)
 
     def _on_change(
         self, op: str, entity_id: int, component: str | None, payload: Any
     ) -> None:
-        if op in ("update", "attach") and component in self.replicated:
-            self._dirty.setdefault(entity_id, {}).update(payload or {})
+        if op in ("update", "attach"):
+            self._mark_row(entity_id, component, payload)
         elif op == "destroy":
-            self._dirty.pop(entity_id, None)
+            for cells in self._dirty.values():
+                cells.pop(entity_id, None)
 
     def tick_count(self) -> int:
         """The source's current tick."""
@@ -90,23 +145,13 @@ class WorldView:
 
     def collect(self) -> Snapshot:
         """Drain dirtiness and snapshot positions/velocities for one tick."""
-        table = self.world.table("Position")
-        ids = table.entity_ids
-        xs = table.gather("x", ids)
-        ys = table.gather("y", ids)
-        positions = {eid: (x, y) for eid, x, y in zip(ids, xs, ys)}
+        positions = _pairs(self.world.table("Position"), ("x", "y"))
         velocities: dict[int, tuple[float, float]] = {}
         if self.velocity_component in self.world.component_names():
-            vtable = self.world.table(self.velocity_component)
-            vids = vtable.entity_ids
-            fx, fy = self.velocity_fields
-            vxs = vtable.gather(fx, vids)
-            vys = vtable.gather(fy, vids)
-            velocities = {
-                eid: (vx, vy) for eid, vx, vy in zip(vids, vxs, vys)
-            }
-        dirty, self._dirty = self._dirty, {}
-        return Snapshot(self.tick_count(), positions, velocities, dirty)
+            velocities = _pairs(
+                self.world.table(self.velocity_component), self.velocity_fields
+            )
+        return Snapshot(self.tick_count(), positions, velocities, self._drain())
 
     def fields_of(self, entity_id: int) -> dict[str, Any]:
         """Full replicated state of one entity (enter payloads)."""
@@ -121,7 +166,7 @@ class WorldView:
         self.world.remove_change_hook(self._hook)
 
 
-class ClusterView:
+class ClusterView(_DirtyFields):
     """Source adapter over a sharded :class:`ClusterCoordinator`.
 
     Change hooks attach to every shard's world slice; positions come
@@ -136,12 +181,11 @@ class ClusterView:
         velocity_component: str = "Velocity",
         velocity_fields: tuple[str, str] = ("vx", "vy"),
     ):
+        super().__init__(replicated)
         self.coordinator = coordinator
-        self.replicated = tuple(replicated)
         self.velocity_component = velocity_component
         self.velocity_fields = velocity_fields
         self.dt = coordinator.shards[0].world.clock.dt
-        self._dirty: dict[int, dict[str, Any]] = {}
         self._hook = self._on_change
         for host in coordinator.shards:
             host.world.add_change_hook(self._hook)
@@ -149,8 +193,8 @@ class ClusterView:
     def _on_change(
         self, op: str, entity_id: int, component: str | None, payload: Any
     ) -> None:
-        if op in ("update", "attach") and component in self.replicated:
-            self._dirty.setdefault(entity_id, {}).update(payload or {})
+        if op in ("update", "attach"):
+            self._mark_row(entity_id, component, payload)
         # "destroy" fires on the source shard of every handoff, but the
         # entity lives on; ownership is the directory's business, so a
         # destroy never clears dirtiness here.
@@ -167,19 +211,17 @@ class ClusterView:
             world = host.world
             if self.velocity_component not in world.component_names():
                 continue
-            vtable = world.table(self.velocity_component)
-            vids = vtable.entity_ids
-            fx, fy = self.velocity_fields
-            vxs = vtable.gather(fx, vids)
-            vys = vtable.gather(fy, vids)
-            for eid, vx, vy in zip(vids, vxs, vys):
-                if host.owns(eid):
-                    velocities[eid] = (vx, vy)
-        dirty, self._dirty = self._dirty, {}
+            shard_velocities = _pairs(
+                world.table(self.velocity_component), self.velocity_fields
+            )
+            for eid in shard_velocities.keys() - host.owned:
+                del shard_velocities[eid]
+            velocities.update(shard_velocities)
         # Handoff re-installs mark entities dirty on the destination
         # shard; restrict to entities that still exist somewhere.
-        dirty = {eid: f for eid, f in dirty.items() if eid in positions}
-        return Snapshot(self.tick_count(), positions, velocities, dirty)
+        return Snapshot(
+            self.tick_count(), positions, velocities, self._drain(positions)
+        )
 
     def fields_of(self, entity_id: int) -> dict[str, Any]:
         """Full replicated state, read from the owning shard."""

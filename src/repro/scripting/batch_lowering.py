@@ -371,8 +371,7 @@ class LoweredProgram:
                 written: dict[str, list] = {}
                 for st in loop.statements:
                     newcol = _apply_statement(st, work, env, len(ids))
-                    fdef = table.schema.field(st.field)
-                    newcol = [fdef.validate(v) for v in newcol]
+                    newcol = table.schema.field(st.field).validate_column(newcol)
                     work[st.field] = newcol
                     written[st.field] = newcol
                 computed.append((loop.component, ids, written))
