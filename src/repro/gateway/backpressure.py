@@ -20,18 +20,19 @@ client reads slowly.  The policy here, applied per session:
   100 ms of one stuck TCP peer must never become everyone's tick time.
   Deltas too large for one frame are split into frameable parts; only a
   single change that *still* cannot fit evicts (``evicted:oversize``) —
-  never raises into the shared tick loop.
+  never raises into the shared tick loop.  A control or event message
+  that cannot be framed evicts the same way.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any
 
-from repro.errors import GatewayError
-from repro.gateway.framing import frame
-from repro.gateway.messages import Delta
+from repro.errors import GatewayError, NetError
+from repro.gateway.framing import frame, frame_encoded
+from repro.gateway.messages import Delta, EntryTexts
 from repro.net.protocol import ENVELOPE_BYTES, VALUE_BYTES
 
 
@@ -161,14 +162,30 @@ class SendQueue:
 
     # -- enqueue -------------------------------------------------------------------
 
-    def offer(self, msg: Any) -> None:
-        """Queue a control message (welcome, pong, goodbye, acks)."""
-        data = frame(msg)
+    def offer(self, msg: Any) -> bool:
+        """Queue a control message (welcome, pong, goodbye, acks, events).
+
+        Never raises into the caller: a message that cannot be framed —
+        over ``MAX_FRAME_BYTES``, or carrying an unencodable payload — is
+        dropped and marks this session ``evicted:oversize``, which
+        :meth:`note_tick` reports exactly as for an unsplittable delta.
+        Returns whether the message was queued.
+        """
+        try:
+            data = frame(msg)
+        except NetError:
+            self.evicted_reason = "evicted:oversize"
+            return False
         self._frames.append((data, None))
         self._queued_bytes += len(data)
+        return True
 
-    def offer_delta(self, delta: Delta) -> None:
-        """Queue one tick's delta, coalescing while the client is behind."""
+    def offer_delta(self, delta: Delta, texts: EntryTexts | None = None) -> None:
+        """Queue one tick's delta, coalescing while the client is behind.
+
+        ``texts`` is the stream's entry memo for the current tick (see
+        ``Delta.wire_body``); a delta emitted right away splices it.
+        """
         if delta.change_count() == 0:
             return
         self._refresh_behind()
@@ -178,17 +195,16 @@ class SendQueue:
             self._pending.merge(delta)
             self.deltas_coalesced += 1
             return
-        self._emit_delta(delta)
+        self._emit_delta(delta, texts)
 
-    def _emit_delta(self, delta: Delta) -> None:
-        stamped = replace(delta, seq=self.next_seq)
+    def _emit_delta(self, delta: Delta, texts: EntryTexts | None = None) -> None:
         try:
-            data = frame(stamped)
+            data = frame_encoded(delta.encode_as(self.next_seq, texts))
         except GatewayError:
             self._emit_oversize(delta)
             return
         self.next_seq += 1
-        self._frames.append((data, stamped.tick))
+        self._frames.append((data, delta.tick))
         self._queued_bytes += len(data)
         self.deltas_sent += 1
 

@@ -366,20 +366,25 @@ class GatewayCore:
             if dedup in session.seen_events:
                 self.events_deduped += 1
                 continue
-            session.seen_events[dedup] = None
-            if len(session.seen_events) > EVENT_DEDUP_CAP:
-                session.seen_events.pop(next(iter(session.seen_events)))
-            self._event_seq += 1
-            session.queue.offer(
+            offered = session.queue.offer(
                 EventMsg(
                     tick=now,
-                    seq=self._event_seq,
+                    seq=self._event_seq + 1,
                     entity=entity,
                     event=event,
                     key=key,
                     payload=dict(payload or {}),
                 )
             )
+            if not offered:
+                # Unframeable: the queue marked the session for eviction.
+                # The key stays unseen, so this is not a delivery and a
+                # redelivery is not mistaken for a duplicate.
+                continue
+            self._event_seq += 1
+            session.seen_events[dedup] = None
+            if len(session.seen_events) > EVENT_DEDUP_CAP:
+                session.seen_events.pop(next(iter(session.seen_events)))
             delivered += 1
             self.events_published += 1
             if self.requests is not None:
@@ -475,13 +480,15 @@ class GatewayCore:
             # One misbehaving session must never take the shared tick
             # loop down: any per-session GatewayError becomes that
             # session's eviction (note_tick reports evicted_reason).
+            texts = self.stream.entry_texts
             for s in active:
                 extra = (s.avatar,) if self.config.stream_self else ()
                 try:
                     s.queue.offer_delta(
                         self.stream.delta_for(
                             s.stream, s.avatar, extra_known=extra
-                        )
+                        ),
+                        texts,
                     )
                 except GatewayError:
                     s.queue.evicted_reason = "evicted:error"

@@ -25,7 +25,11 @@ _HEADER = struct.Struct(">I")
 
 def frame(msg: Any) -> bytes:
     """Encode one message as a length-prefixed frame."""
-    payload = encode(msg)
+    return frame_encoded(encode(msg))
+
+
+def frame_encoded(payload: bytes) -> bytes:
+    """Length-prefix one already-encoded message (``Delta.encode_as``)."""
     if len(payload) > MAX_FRAME_BYTES:
         raise GatewayError(
             f"frame of {len(payload)} bytes exceeds {MAX_FRAME_BYTES}"

@@ -22,14 +22,20 @@ Session lifecycle::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Mapping
 
 from repro.net.protocol import (
     ENVELOPE_BYTES,
     VALUE_BYTES,
     WIRE_VERSION,
+    encode_value,
     register_message,
+    wire_header,
 )
+
+#: An :class:`~repro.gateway.streams.InterestStream`'s per-tick entry
+#: memo: ``{id(fields): (fields, fields_text)}``.
+EntryTexts = Mapping[int, tuple[dict, str]]
 
 
 @dataclass(frozen=True)
@@ -148,6 +154,61 @@ class Delta:
         """Total entity-level changes carried (enters + updates + exits)."""
         return len(self.enters) + len(self.updates) + len(self.exits)
 
+    def wire_body(
+        self, seq: int | None = None, texts: EntryTexts | None = None
+    ) -> str:
+        """The codec's JSON body for this delta, written field by field.
+
+        Byte-identical to the generic lowering (the codec calls this for
+        every ``Delta``).  ``seq`` replaces the stored sequence number,
+        so the send queue stamps a delta without copying it.  With the
+        stream's entry memo ``texts``, an update whose fields dict *is* a
+        memo entry's splices that entry's text instead of encoding the
+        dict again.  Every other entry, and every
+        delta written without a memo, is encoded plainly.
+        """
+        return (
+            '{"coalesced":' + _int_text(self.coalesced)
+            + ',"enters":' + _tuple_text(self.enters)
+            + ',"exits":' + _tuple_text(self.exits)
+            + ',"seq":' + _int_text(self.seq if seq is None else seq)
+            + ',"tick":' + _int_text(self.tick)
+            + ',"updates":' + _updates_text(self.updates, texts)
+            + "}"
+        )
+
+    def encode_as(self, seq: int, texts: EntryTexts | None = None) -> bytes:
+        """Wire bytes of this delta stamped with ``seq`` (see ``wire_body``)."""
+        return _DELTA_HEADER + self.wire_body(seq, texts).encode("utf-8")
+
+
+def _int_text(value: Any) -> str:
+    return str(value) if type(value) is int else encode_value(value)
+
+
+def _tuple_text(value: Any) -> str:
+    # Most deltas carry no enters and no exits.
+    if type(value) is tuple and not value:
+        return '{"__t":[]}'
+    return encode_value(value)
+
+
+def _updates_text(updates: Any, texts: EntryTexts | None) -> str:
+    """``Delta.updates`` as the codec writes it, splicing memoised entries."""
+    if not texts or type(updates) is not tuple:
+        return encode_value(updates)
+    parts = []
+    for entry in updates:
+        hit = None
+        if type(entry) is tuple and len(entry) == 2:
+            eid, fields = entry
+            hit = texts.get(id(fields))
+        if hit is not None and hit[0] is fields:
+            parts.append('{"__t":[' + _int_text(eid) + "," + hit[1] + "]}")
+        else:
+            parts.append(encode_value(entry))
+    return '{"__t":[' + ",".join(parts) + "]}"
+
 
 @dataclass(frozen=True)
 class EventMsg:
@@ -226,3 +287,5 @@ register_message(38, Delta)
 register_message(39, EventMsg)
 register_message(40, TelemetrySub)
 register_message(41, TelemetryMsg)
+
+_DELTA_HEADER = wire_header(Delta)

@@ -34,6 +34,7 @@ from repro.consistency.interest import InterestManager
 from repro.errors import GatewayError
 from repro.gateway.messages import Delta
 from repro.net.deadreckon import DeadReckoningSender
+from repro.net.protocol import encode_value
 
 
 class Snapshot:
@@ -258,6 +259,15 @@ class InterestStream:
     :class:`InterestManager` (and therefore one spatial-grid pass), so
     the per-tick cost is O(radius-groups × entities) grid builds plus
     the aggregate AOI density — not O(clients × entities).
+
+    **Encode once, fan out many.**  Every client that is sent an entity's
+    update this tick is sent one of two field sets: the full sample
+    (non-positional fields plus ``x, y, vx, vy``) or the non-positional
+    remainder.  Both are built once per (entity, variant) per tick and
+    shared by every delta that carries them, and each is encoded once
+    into :attr:`entry_texts` (``{id(fields): (fields, text)}``), which the
+    send queues splice.  Both maps are reset by :meth:`begin_tick`, so
+    nothing in them outlives the tick; shared field dicts are read-only.
     """
 
     def __init__(
@@ -276,6 +286,10 @@ class InterestStream:
         self._managers: dict[float, InterestManager] = {}
         self._events_by_observer: dict[int, list] = {}
         self.snapshot: Snapshot | None = None
+        #: (entity, full sample?) -> this tick's shared update fields.
+        self._shared: dict[tuple[int, bool], dict[str, Any]] = {}
+        #: id(shared fields) -> (fields, their wire text), this tick only.
+        self.entry_texts: dict[int, tuple[dict[str, Any], str]] = {}
 
     def manager_for(self, radius: float) -> InterestManager:
         """The shared interest manager for one radius group."""
@@ -289,6 +303,8 @@ class InterestStream:
         """Run every radius group's interest query over a fresh snapshot."""
         self.snapshot = self.source.collect()
         self._events_by_observer = {}
+        self._shared = {}
+        self.entry_texts = {}
         for radius, observers in sorted(observers_by_radius.items()):
             if not observers:
                 continue
@@ -332,10 +348,10 @@ class InterestStream:
         entered_now = {eid for eid, _f in enters}
         updates: list[tuple[int, dict]] = []
         dirty = snap.dirty
-        for eid in sorted(known | set(extra_known)):
+        for eid in sorted(known.union(extra_known) & dirty.keys()):
             if eid in entered_now:
                 continue
-            fields = dirty.get(eid)
+            fields = dirty[eid]
             if not fields:
                 continue
             out = self._filter_update(state, eid, fields, snap, force=eid == avatar)
@@ -357,7 +373,11 @@ class InterestStream:
         snap: Snapshot,
         force: bool,
     ) -> dict[str, Any]:
-        """Apply dead-reckoning suppression to one entity's dirty fields."""
+        """Apply dead-reckoning suppression to one entity's dirty fields.
+
+        A positional update returns the tick's shared dict for its
+        variant (see the class docstring); anything else a private copy.
+        """
         positional = "x" in fields or "y" in fields
         if not positional or eid not in snap.positions:
             return dict(fields)
@@ -367,14 +387,19 @@ class InterestStream:
         if sender is None:
             sender = DeadReckoningSender(self.dr_threshold, dt=self.source.dt)
             state.dr[eid] = sender
-        sample = sender.update(snap.tick, x, y, vx, vy)
-        out = {k: v for k, v in fields.items() if k not in ("x", "y")}
-        if sample is not None or force:
-            out["x"] = x
-            out["y"] = y
-            out["vx"] = vx
-            out["vy"] = vy
-        elif not out:
+        full = sender.update(snap.tick, x, y, vx, vy) is not None or force
+        out = self._shared.get((eid, full))
+        if out is None:
+            out = {k: v for k, v in fields.items() if k not in ("x", "y")}
+            if full:
+                out["x"] = x
+                out["y"] = y
+                out["vx"] = vx
+                out["vy"] = vy
+            self._shared[(eid, full)] = out
+            if out:
+                self.entry_texts[id(out)] = (out, encode_value(out))
+        if not out:
             state.updates_suppressed += 1
         return out
 

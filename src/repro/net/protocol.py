@@ -368,9 +368,61 @@ class Heartbeat:
 # non-string dict keys — both load-bearing in the protocol dataclasses —
 # are tagged so the decode restores the exact python types and
 # ``decode(encode(m)) == m`` holds for every registered message.
+#
+# Each direction is one pass per message.  ``register_message`` compiles
+# a class's field spec once; lowering dispatches on exact type, so
+# scalars cost nothing and an already JSON-safe dict is handed to the
+# encoder uncopied; decode restores the tags inside the parse (an
+# ``object_hook``) instead of walking the parsed tree a second time.
 
-_MESSAGE_TYPES: dict[int, type] = {}
-_TYPE_IDS: dict[type, int] = {}
+# Scalar annotations the decoder type-checks on the way in.  JSON has a
+# single number type, so ``float`` fields accept ints; ``int`` fields
+# reject bools (a json ``true`` is not a sequence number).  Container
+# annotations are left to the message's own consumers.
+_SCALAR_CHECKS: dict[str, Callable[[Any], bool]] = {
+    "str": lambda v: isinstance(v, str),
+    "bool": lambda v: isinstance(v, bool),
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "float": lambda v: (
+        isinstance(v, (int, float)) and not isinstance(v, bool)
+    ),
+}
+
+#: Exact types the JSON encoder writes as they are.
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+# One encoder for the process (the decoder sits below, beside its hook).
+# ``check_circular`` is off: lowering recursed through every container
+# it copied, and the ones it hands over uncopied hold only scalars.
+_ENCODER = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), check_circular=False
+)
+
+
+class _Spec:
+    """One registered message class, compiled once at registration."""
+
+    __slots__ = ("cls", "header", "names", "checks", "writer")
+
+    def __init__(self, cls: type, type_id: int):
+        fields = dataclasses.fields(cls)
+        self.cls = cls
+        self.header = bytes((WIRE_VERSION, type_id))
+        self.names = tuple(f.name for f in fields)
+        #: ``(name, annotation, check)`` for every scalar-annotated field.
+        self.checks = tuple(
+            (f.name, f.type, _SCALAR_CHECKS[f.type])
+            for f in fields if f.type in _SCALAR_CHECKS
+        )
+        #: A class may write its own body (``msg.wire_body() -> str``);
+        #: it must be byte-identical to the generic lowering.
+        self.writer: Callable[[Any], str] | None = getattr(
+            cls, "wire_body", None
+        )
+
+
+_BY_ID: dict[int, _Spec] = {}
+_BY_TYPE: dict[type, _Spec] = {}
 
 
 def register_message(type_id: int, cls: type | None = None):
@@ -383,64 +435,62 @@ def register_message(type_id: int, cls: type | None = None):
     def _register(target: type) -> type:
         if not (0 <= type_id <= 255):
             raise NetError(f"message type id {type_id} outside one byte")
-        existing = _MESSAGE_TYPES.get(type_id)
-        if existing is not None and existing is not target:
+        existing = _BY_ID.get(type_id)
+        if existing is not None and existing.cls is not target:
             raise NetError(
-                f"wire type id {type_id} already taken by {existing.__name__}"
+                f"wire type id {type_id} already taken by "
+                f"{existing.cls.__name__}"
             )
         if not dataclasses.is_dataclass(target):
             raise NetError(f"{target.__name__} must be a dataclass message")
-        _MESSAGE_TYPES[type_id] = target
-        _TYPE_IDS[target] = type_id
+        spec = _Spec(target, type_id)
+        _BY_ID[type_id] = spec
+        _BY_TYPE[target] = spec
         return target
 
     return _register if cls is None else _register(cls)
 
 
-def _to_jsonable(value: Any) -> Any:
+def _lower(value: Any) -> Any:
     """Lower a message field value to tagged, JSON-safe form."""
-    if isinstance(value, tuple):
-        return {"__t": [_to_jsonable(v) for v in value]}
-    if isinstance(value, list):
-        return [_to_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        plain = all(
-            isinstance(k, str) and not k.startswith("__") for k in value
-        )
-        if plain:
-            return {k: _to_jsonable(v) for k, v in value.items()}
-        return {
-            "__d": [[_to_jsonable(k), _to_jsonable(v)]
-                    for k, v in value.items()]
-        }
-    if value is None or isinstance(value, (bool, int, float, str)):
+    kind = type(value)
+    if kind in _SCALARS:
         return value
+    if kind is tuple:
+        return {"__t": [v if type(v) in _SCALARS else _lower(v) for v in value]}
+    if kind is dict:
+        for k in value:
+            if not (isinstance(k, str) and not k.startswith("__")):
+                return {"__d": [[_lower(k), _lower(v)] for k, v in value.items()]}
+        for v in value.values():
+            if type(v) not in _SCALARS:
+                return {k: _lower(v) for k, v in value.items()}
+        return value
+    if kind is list:
+        return [_lower(v) for v in value]
+    # Subclasses: numpy.float64, namedtuples, OrderedDict, IntEnum, ...
+    if isinstance(value, (bool, int, float, str)):
+        return value
+    for base in (tuple, list, dict):
+        if isinstance(value, base):
+            return _lower(base(value))
     raise NetError(
         f"unencodable value of type {type(value).__name__} "
         f"(in-process-only payloads cannot cross a real wire)"
     )
 
 
-def _from_jsonable(value: Any) -> Any:
-    """Invert :func:`_to_jsonable`."""
-    if isinstance(value, list):
-        return [_from_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        if "__t" in value and len(value) == 1:
-            return tuple(_from_jsonable(v) for v in value["__t"])
-        if "__d" in value and len(value) == 1:
-            return {
-                _hashable(_from_jsonable(k)): _from_jsonable(v)
-                for k, v in value["__d"]
-            }
-        return {k: _from_jsonable(v) for k, v in value.items()}
-    return value
+def encode_value(value: Any) -> str:
+    """The canonical JSON text :func:`encode` writes for one field value.
+
+    Message body writers splice these texts; see ``Delta.wire_body``.
+    """
+    return _ENCODER.encode(_lower(value))
 
 
-def _hashable(key: Any) -> Any:
-    if isinstance(key, list):
-        return tuple(_hashable(k) for k in key)
-    return key
+def wire_header(cls: type) -> bytes:
+    """The two codec header bytes (version, type id) of a message class."""
+    return _BY_TYPE[cls].header
 
 
 def encode(msg: Any, ctx: TraceContext | None = None) -> bytes:
@@ -452,21 +502,21 @@ def encode(msg: Any, ctx: TraceContext | None = None) -> bytes:
     :func:`decode` unwraps transparently; :func:`decode_with_context`
     hands the context back.
     """
-    type_id = _TYPE_IDS.get(type(msg))
-    if type_id is None:
+    spec = _BY_TYPE.get(type(msg))
+    if spec is None:
         raise NetError(
             f"{type(msg).__name__} is not a registered wire message"
         )
-    body = {
-        f.name: _to_jsonable(getattr(msg, f.name))
-        for f in dataclasses.fields(msg)
-    }
-    payload = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    encoded = bytes((WIRE_VERSION, type_id)) + payload.encode("utf-8")
+    if spec.writer is not None:
+        body = spec.writer(msg)
+    else:
+        body = _ENCODER.encode(
+            {name: _lower(getattr(msg, name)) for name in spec.names}
+        )
+    encoded = spec.header + body.encode("utf-8")
     if ctx is None:
         return encoded
-    header = json.dumps(ctx.to_wire(), sort_keys=True,
-                        separators=(",", ":")).encode("utf-8")
+    header = _ENCODER.encode(ctx.to_wire()).encode("utf-8")
     return bytes((WIRE_VERSION, CTX_TYPE_ID)) + header + b"\x00" + encoded
 
 
@@ -491,18 +541,44 @@ def _unwrap_context(data: bytes) -> tuple[bytes, TraceContext | None]:
     return inner, ctx
 
 
-# Scalar annotations the decoder type-checks on the way in.  JSON has a
-# single number type, so ``float`` fields accept ints; ``int`` fields
-# reject bools (a json ``true`` is not a sequence number).  Container
-# annotations are left to the message's own consumers.
-_SCALAR_CHECKS: dict[str, Callable[[Any], bool]] = {
-    "str": lambda v: isinstance(v, str),
-    "bool": lambda v: isinstance(v, bool),
-    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "float": lambda v: (
-        isinstance(v, (int, float)) and not isinstance(v, bool)
-    ),
-}
+def _hashable(key: Any) -> Any:
+    if isinstance(key, list):
+        return tuple(_hashable(k) for k in key)
+    return key
+
+
+def _restore_tags(obj: dict) -> Any:
+    """``object_hook``: undo the tuple / keyed-dict tags as the parse goes.
+
+    Only the canonical tag forms :func:`encode` writes are accepted: a
+    ``__t`` array, and a ``__d`` array of ``[key, value]`` pairs with at
+    least one key the encoder could not have written untagged.  Anything
+    else under a tag is a :class:`NetError` (which also keeps a tagged
+    top-level body from posing as a message's fields).
+    """
+    if len(obj) != 1:
+        return obj
+    if "__t" in obj:
+        items = obj["__t"]
+        if type(items) is list:
+            return tuple(items)
+        raise NetError("corrupt tuple tag: payload is not an array")
+    if "__d" in obj:
+        pairs = obj["__d"]
+        if type(pairs) is not list:
+            raise NetError("corrupt dict tag: payload is not an array")
+        out = {}
+        for pair in pairs:
+            if type(pair) is not list or len(pair) != 2:
+                raise NetError("corrupt dict tag: entry is not a key/value pair")
+            out[_hashable(pair[0])] = pair[1]
+        if all(isinstance(k, str) and not k.startswith("__") for k in out):
+            raise NetError("corrupt dict tag: its keys need no tag")
+        return out
+    return obj
+
+
+_DECODER = json.JSONDecoder(object_hook=_restore_tags)
 
 
 def decode(data: bytes) -> Any:
@@ -526,28 +602,30 @@ def decode(data: bytes) -> Any:
         raise NetError(
             f"wire version {data[0]} unsupported (speaking {WIRE_VERSION})"
         )
-    cls = _MESSAGE_TYPES.get(data[1])
-    if cls is None:
+    spec = _BY_ID.get(data[1])
+    if spec is None:
         raise NetError(f"unknown wire message type id {data[1]}")
+    cls = spec.cls
     try:
-        body = json.loads(data[2:].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise NetError(f"corrupt message body: {exc}") from None
-    if not isinstance(body, dict):
+        body = _DECODER.decode(data[2:].decode("utf-8"))
+    except (ValueError, TypeError) as exc:
+        # ValueError covers bad UTF-8 and malformed JSON; TypeError an
+        # unhashable keyed-dict key.
+        raise NetError(f"corrupt {cls.__name__} body: {exc}") from None
+    if type(body) is not dict:
         raise NetError(
             f"corrupt {cls.__name__} body: expected an object, "
             f"got {type(body).__name__}"
         )
     try:
-        msg = cls(**{k: _from_jsonable(v) for k, v in body.items()})
+        msg = cls(**body)
     except (TypeError, ValueError, AttributeError) as exc:
         raise NetError(f"corrupt {cls.__name__} body: {exc}") from None
-    for f in dataclasses.fields(cls):
-        check = _SCALAR_CHECKS.get(f.type)
-        if check is not None and not check(getattr(msg, f.name)):
+    for name, annotation, check in spec.checks:
+        if not check(getattr(msg, name)):
             raise NetError(
-                f"corrupt {cls.__name__} body: field {f.name!r} "
-                f"is not {f.type}"
+                f"corrupt {cls.__name__} body: field {name!r} "
+                f"is not {annotation}"
             )
     return msg
 
