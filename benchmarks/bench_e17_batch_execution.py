@@ -13,7 +13,7 @@ runtime so database tricks apply.  PR 4 cashes in two of them:
   `for e in entities(...)` update loops to one batched read + one bulk
   write-back per component (`world.update_batch`).
 
-Four cells, the first three scaling in entity count:
+Five cells, the first three scaling in entity count:
 
 * **query** — a residual-heavy scan query: tuple-at-a-time with the
   planner re-run every call (``fresh``), tuple-at-a-time with the plan
@@ -29,12 +29,20 @@ Four cells, the first three scaling in entity count:
   Identical float operations in both, so the cluster ``state_hash``
   matches bit for bit and ``shard_batch_vs_tuple`` isolates the one
   variable that paid in the retired E18: the formulation.
+* **replicated shard tick** (E17e) — the same drift and seed on a
+  semi-sync replicated 2-shard cluster, pricing what each formulation
+  costs the journal: records and bytes shipped per tick.  A batch write
+  journals one record per (shard, written field); tuple-at-a-time
+  journals one per entity.  ``replicated_records_tuple_over_batch`` is
+  that ratio, deterministic under the seed; cluster hashes match and
+  every replica matches its primary.
 
 Expected shape: batched query execution well over 2× tuple-at-a-time at
 10k entities, the lowered script an order of magnitude faster than the
 interpreter, a warm cache planning each shape exactly once, the batch
-shard tick ≥ 2× the tuple one, and every mode returning identical
-results.
+shard tick ≥ 2× the tuple one, the replicated batch tick journaling
+two orders of magnitude fewer records than the tuple one, and every
+mode returning identical results.
 
 ``--out foo.json`` writes the machine-readable per-run artifact that
 ``check_regression.py`` compares against the committed baseline.
@@ -54,6 +62,7 @@ from bench_common import (
 from repro.cluster import ClusterCoordinator, StaticGridPlacement
 from repro.consistency.partition import StaticGridPartitioner
 from repro.core import F, GameWorld, schema
+from repro.replication import ACK_SEMISYNC, ReplicatedClusterCoordinator
 from repro.scripting import add_script_system
 from repro.spatial.geometry import AABB
 from repro.workloads.hotspot import cluster_schemas, transfer_spec
@@ -192,11 +201,20 @@ def _drift_batch(world, ids, cols, dt):
     }
 
 
-def build_cluster(entities: int, seed: int, batch: bool):
+def build_cluster(
+    entities: int, seed: int, batch: bool, shards: int = 4,
+    replicated: bool = False,
+):
     placement = StaticGridPlacement(
-        StaticGridPartitioner(AABB(0, 0, 800, 800), 2, 2, 4)
+        StaticGridPartitioner(AABB(0, 0, 800, 800), 2, 2, shards)
     )
-    coord = ClusterCoordinator(4, placement, cluster_schemas(), seed=seed)
+    if replicated:
+        coord = ReplicatedClusterCoordinator(
+            shards, placement, cluster_schemas(), seed=seed,
+            replication_factor=1, ack_mode=ACK_SEMISYNC,
+        )
+    else:
+        coord = ClusterCoordinator(shards, placement, cluster_schemas(), seed=seed)
     rng = random.Random(seed + 17)
     eids = [
         coord.spawn({
@@ -215,12 +233,16 @@ def build_cluster(entities: int, seed: int, batch: bool):
     return coord, eids, rng
 
 
-def run_cluster_ticks(coord, eids, rng, ticks: int):
+def drive_cluster(coord, eids, rng, ticks: int):
     for t in range(ticks):
         if t % 4 == 0:
             a, b = rng.sample(eids, 2)
             coord.submit(transfer_spec(a, b, 2))
         coord.tick()
+
+
+def run_cluster_ticks(coord, eids, rng, ticks: int):
+    drive_cluster(coord, eids, rng, ticks)
     coord.quiesce()
 
 
@@ -244,10 +266,52 @@ def run_shard_cell(entities: int = 5000, ticks: int = 30, seed: int = 1):
     return times[0], times[1]
 
 
+def _journal_records(coord) -> int:
+    return sum(host.journal.wal.next_lsn - 1 for host in coord.shards)
+
+
+def _bytes_shipped(coord) -> int:
+    return sum(g.bytes_shipped for g in coord.replication_stats().values())
+
+
+def run_replicated_cell(entities: int = 2000, ticks: int = 20, seed: int = 1):
+    """``{mode: (records, bytes_shipped, ms)}`` per tick on 2 replicated shards.
+
+    Measured over the ``ticks`` driven ticks; the quiesce after them
+    (which settles the handoffs of the last repartition, row events in
+    both formulations) is not counted.  Asserts equal cluster hashes
+    across the formulations and that every replica, once the last frame
+    has shipped, equals its primary.
+    """
+    rows, hashes = {}, []
+    for batch in (False, True):
+        coord, eids, rng = build_cluster(
+            entities, seed, batch, shards=2, replicated=True
+        )
+        records, shipped = _journal_records(coord), _bytes_shipped(coord)
+        t = wall_time(lambda: drive_cluster(coord, eids, rng, ticks), repeats=1)
+        rows["batch" if batch else "tuple"] = (
+            (_journal_records(coord) - records) / ticks,
+            (_bytes_shipped(coord) - shipped) / ticks,
+            t / ticks * 1e3,
+        )
+        coord.quiesce()
+        hashes.append(coord.state_hash())
+        frozen = {h.shard_id: h.world.state_hash() for h in coord.shards}
+        coord.tick()  # ship the last frame
+        for shard_id, group in coord.replicas.items():
+            for replica in group:
+                assert replica.state_hash() == frozen[shard_id], (
+                    "replica diverged from its primary"
+                )
+    assert hashes[0] == hashes[1], "replicated batch tick must be bit-identical"
+    return rows
+
+
 # -- report ----------------------------------------------------------------------
 
 def run_experiment(sizes=(1000, 4000, 10000), seed=1, shard_entities=5000,
-                   shard_ticks=30):
+                   shard_ticks=30, replicated_entities=2000, replicated_ticks=20):
     """All tables plus the relative metrics the regression gate tracks."""
     qtable = BenchTable(
         "E17a: scan query, tuple-at-a-time vs plan cache vs batched",
@@ -289,6 +353,14 @@ def run_experiment(sizes=(1000, 4000, 10000), seed=1, shard_entities=5000,
         shard_entities, t_tuple * 1e3, t_batch * 1e3,
         t_tuple / t_batch if t_batch else float("inf"),
     )
+    rtable = BenchTable(
+        "E17e: replicated 2-shard cluster tick, journal cost per formulation",
+        ["mode", "entities", "journal_records_per_tick",
+         "bytes_shipped_per_tick", "ms_per_tick"],
+    )
+    replicated = run_replicated_cell(replicated_entities, replicated_ticks, seed)
+    for mode, (records, shipped, ms) in replicated.items():
+        rtable.add_row(mode, replicated_entities, records, shipped, ms)
     metrics = {
         "query_batch_speedup": qtable.column("batch_speedup")[-1],
         "plan_cache_speedup": ptable.column("cache_speedup")[-1],
@@ -296,8 +368,12 @@ def run_experiment(sizes=(1000, 4000, 10000), seed=1, shard_entities=5000,
         "script_batch_speedup": stable.column("script_speedup")[-1],
         "hash_equal": all(stable.column("hash_equal")),
         "shard_batch_vs_tuple": ctable.column("speedup")[-1],
+        "replicated_records_tuple_over_batch": (
+            replicated["tuple"][0] / replicated["batch"][0]
+        ),
     }
-    return {"tables": [qtable, ptable, stable, ctable], "metrics": metrics,
+    return {"tables": [qtable, ptable, stable, ctable, rtable],
+            "metrics": metrics,
             "sizes": list(sizes)}
 
 
@@ -327,6 +403,10 @@ def print_report(sizes=(1000, 4000, 10000), seed=1) -> None:
           f"state hashes equal: {m['hash_equal']}")
     print(f"batch vs tuple shard tick: {m['shard_batch_vs_tuple']:.2f}x "
           f"(floor 2x; cluster state hashes asserted equal)")
+    print(f"replicated journal records, tuple / batch: "
+          f"{m['replicated_records_tuple_over_batch']:.1f}x "
+          f"(one record per written column vs one per entity; replica "
+          f"and cluster hashes asserted equal)")
     print("-> the optimizer runs once per query shape, residual filters "
           "run as vector passes over the columns, and the canonical "
           "update loop becomes one batched read plus one bulk write.")
@@ -380,13 +460,16 @@ def test_e17_shape_holds(benchmark):
 
     def check():
         result = run_experiment(sizes=(500, 2000), shard_entities=1000,
-                                shard_ticks=12)
+                                shard_ticks=12, replicated_entities=500,
+                                replicated_ticks=8)
         m = result["metrics"]
         assert m["hash_equal"], "lowered script must be bit-identical"
         assert m["script_batch_speedup"] >= 2.0, m["script_batch_speedup"]
         assert m["query_batch_speedup"] >= 2.0, m["query_batch_speedup"]
         assert m["plan_cache_hit_rate"] > 0.99, m["plan_cache_hit_rate"]
         assert m["shard_batch_vs_tuple"] >= 2.0, m["shard_batch_vs_tuple"]
+        ratio = m["replicated_records_tuple_over_batch"]
+        assert ratio >= 20.0, ratio
         return m
 
     benchmark.pedantic(check, rounds=1, iterations=1)

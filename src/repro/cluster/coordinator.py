@@ -128,6 +128,9 @@ class ClusterCoordinator:
         self.net.add_endpoint(COORD_ENDPOINT)
         schemas = list(schemas)
         self._schemas = schemas
+        #: Per-shard registrations, re-applied to any host built later.
+        self._registrations: list[Callable[[ShardHost], None]] = []
+        self._change_hooks: list[Callable[..., None]] = []
         self.shards: list[ShardHost] = [
             self._make_shard(i, schemas) for i in range(shards)
         ]
@@ -243,6 +246,32 @@ class ClusterCoordinator:
         """Number of shards in the cluster."""
         return len(self.shards)
 
+    def _register(self, install: Callable[[ShardHost], None]) -> None:
+        """Apply a per-shard registration to every host, and keep it for
+        any host built later (a replica promoted by failover)."""
+        self._registrations.append(install)
+        for host in self.shards:
+            install(host)
+
+    def _install_registrations(self, host: ShardHost) -> None:
+        """Apply every kept registration (systems, change hooks) to ``host``."""
+        for install in self._registrations:
+            install(host)
+        for hook in self._change_hooks:
+            host.world.add_change_hook(hook)
+
+    def add_change_hook(self, hook: Callable[..., None]) -> None:
+        """:meth:`GameWorld.add_change_hook` on every shard, promoted ones too."""
+        for host in self.shards:
+            host.world.add_change_hook(hook)
+        self._change_hooks.append(hook)
+
+    def remove_change_hook(self, hook: Callable[..., None]) -> None:
+        """Unregister a hook added with :meth:`add_change_hook`."""
+        self._change_hooks.remove(hook)
+        for host in self.shards:
+            host.world.remove_change_hook(hook)
+
     def add_per_entity_system(
         self,
         name: str,
@@ -253,8 +282,9 @@ class ClusterCoordinator:
     ) -> None:
         """Register the same tuple-at-a-time system on every shard world."""
         components = tuple(components)
-        for host in self.shards:
-            host.world.add_per_entity_system(name, components, fn, priority, interval)
+        self._register(lambda host: host.world.add_per_entity_system(
+            name, components, fn, priority, interval
+        ))
 
     def add_system(self, system: Any, priority: int | None = None) -> None:
         """Register a system on every shard world.
@@ -271,9 +301,9 @@ class ClusterCoordinator:
                 "instance — each shard world needs its own"
             )
         decorated = hasattr(system, "__system_name__")
-        for host in self.shards:
-            instance = system if decorated else system()
-            host.world.add_system(instance, priority=priority)
+        self._register(lambda host: host.world.add_system(
+            system if decorated else system(), priority=priority
+        ))
 
     def add_batch_system(
         self,
@@ -295,18 +325,18 @@ class ClusterCoordinator:
         """
         reads = tuple(reads)
         writes = tuple(writes) if writes is not None else None
-        for host in self.shards:
-            host.world.add_batch_system(
-                name, reads, fn, priority=priority, interval=interval,
-                writes=writes,
-            )
+        self._register(lambda host: host.world.add_batch_system(
+            name, reads, fn, priority=priority, interval=interval,
+            writes=writes,
+        ))
 
     def add_script_system(self, name: str, source: str, **kwargs: Any) -> None:
         """Compile and register the same GSL script on every shard world."""
         from repro.scripting.script_system import add_script_system
 
-        for host in self.shards:
-            add_script_system(host.world, name, source, **kwargs)
+        self._register(
+            lambda host: add_script_system(host.world, name, source, **kwargs)
+        )
 
     # -- entity plane -------------------------------------------------------------
 

@@ -37,38 +37,13 @@ from repro.errors import UnknownComponentError
 from repro.obs import Observability, resolve_obs
 from repro.schema.catalog import Catalog
 
-#: Change-hook signature used by the persistence layer:
-#: (op, entity_id, component, payload) with op in
+#: Row-event signature: (op, entity_id, component, payload) with op in
 #: "spawn" | "destroy" | "attach" | "detach" | "update".
 ChangeHook = Callable[[str, int, str | None, Mapping[str, Any] | None], None]
 
 #: Column-event signature: (component, field, entity_ids, values), one call
 #: per :meth:`GameWorld.set_column`, carrying only the changed cells.
 ColumnHook = Callable[[str, str, Sequence[int], Sequence[Any]], None]
-
-
-def _column_handler(hook: ChangeHook) -> ColumnHook:
-    """How ``hook`` receives a set-at-a-time write.
-
-    A hook that exposes ``on_column_change(component, field, ids,
-    values)`` — on itself, or on the owner when the hook is a bound
-    method (e.g. ``ClusterView._on_change``) — takes the column event
-    whole.  Any other hook speaks only the row protocol and gets the
-    shared per-cell adapter: one ``("update", eid, component, {field:
-    value})`` call per changed cell, in write order.
-    """
-    owner = getattr(hook, "__self__", hook)
-    on_column = getattr(owner, "on_column_change", None)
-    if on_column is not None:
-        return on_column
-
-    def per_cell(
-        component: str, field: str, ids: Sequence[int], values: Sequence[Any]
-    ) -> None:
-        for eid, value in zip(ids, values):
-            hook("update", eid, component, {field: value})
-
-    return per_cell
 
 
 class GameWorld:
@@ -108,6 +83,8 @@ class GameWorld:
         self._indexes: dict[str, IndexManager] = {}
         self._components_of: dict[int, set[str]] = {}
         self._change_hooks: list[ChangeHook] = []
+        #: Each hook's resolved ``on_column_change``, index-aligned.
+        self._column_hooks: list[ColumnHook] = []
         #: The schema catalog: define / alter / describe component types.
         self.catalog = Catalog(self)
         self.obs.register_stats("plan_cache", self.plan_cache.stats)
@@ -152,14 +129,27 @@ class GameWorld:
 
         Row events arrive as ``hook(op, entity_id, component, payload)``.
         A :meth:`set_column` write arrives as one column event on the
-        hook's ``on_column_change`` (itself or a bound method's owner)
-        when it has one, else through a per-cell row adapter.
+        hook's ``on_column_change(component, field, ids, values)`` — on
+        the hook itself, or on its owner when the hook is a bound
+        method (e.g. ``ClusterView._on_change``).  A hook without one
+        would silently miss every set-at-a-time write, so it raises
+        :class:`TypeError`.
         """
+        owner = getattr(hook, "__self__", hook)
+        on_column = getattr(owner, "on_column_change", None)
+        if on_column is None:
+            raise TypeError(
+                f"change hook {hook!r} has no on_column_change(component, "
+                f"field, ids, values); it would miss every set_column write"
+            )
         self._change_hooks.append(hook)
+        self._column_hooks.append(on_column)
 
     def remove_change_hook(self, hook: ChangeHook) -> None:
         """Unregister a change hook."""
-        self._change_hooks.remove(hook)
+        i = self._change_hooks.index(hook)
+        del self._change_hooks[i]
+        del self._column_hooks[i]
 
     def _emit_change(
         self,
@@ -281,8 +271,8 @@ class GameWorld:
         """
         ids, vals = self.table(component).write_column(field, entity_ids, values)
         if ids:
-            for hook in self._change_hooks:
-                _column_handler(hook)(component, field, ids, vals)
+            for on_column in self._column_hooks:
+                on_column(component, field, ids, vals)
         return len(ids)
 
     def update_batch(

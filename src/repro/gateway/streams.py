@@ -170,9 +170,11 @@ class WorldView(_DirtyFields):
 class ClusterView(_DirtyFields):
     """Source adapter over a sharded :class:`ClusterCoordinator`.
 
-    Change hooks attach to every shard's world slice; positions come
-    from the coordinator's global snapshot, so an entity mid-handoff is
-    reported exactly once by whichever side owns it at the barrier.
+    The change hook is registered through the coordinator, which puts it
+    on every shard's world slice — including a host promoted by failover
+    later; positions come from the coordinator's global snapshot, so an
+    entity mid-handoff is reported exactly once by whichever side owns
+    it at the barrier.
     """
 
     def __init__(
@@ -188,8 +190,7 @@ class ClusterView(_DirtyFields):
         self.velocity_fields = velocity_fields
         self.dt = coordinator.shards[0].world.clock.dt
         self._hook = self._on_change
-        for host in coordinator.shards:
-            host.world.add_change_hook(self._hook)
+        coordinator.add_change_hook(self._hook)
 
     def _on_change(
         self, op: str, entity_id: int, component: str | None, payload: Any
@@ -235,8 +236,7 @@ class ClusterView(_DirtyFields):
 
     def close(self) -> None:
         """Detach every shard hook."""
-        for host in self.coordinator.shards:
-            host.world.remove_change_hook(self._hook)
+        self.coordinator.remove_change_hook(self._hook)
 
 
 class ClientStreamState:

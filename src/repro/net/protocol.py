@@ -1,4 +1,4 @@
-"""Wire protocol for the client/server replication layer.
+"""Wire protocol: client, cluster and replication messages.
 
 Plain dataclasses with explicit size accounting — the simulator bills
 bandwidth from ``wire_size()``, so the E7/E12 bandwidth numbers reflect
@@ -74,8 +74,8 @@ class EntityExit:
 class InputCommand:
     """Client -> server: one player input.
 
-    ``seq`` lets the client reconcile its prediction when the
-    authoritative result comes back.
+    ``seq`` pairs the command with the :class:`InputAck` that carries
+    its authoritative result back.
     """
 
     client: str

@@ -108,33 +108,35 @@ class WorldPersistence:
         component: str | None,
         payload: Mapping[str, Any] | None,
     ) -> None:
+        if op == "spawn":
+            self._record("put", _ENTITY_TABLE, entity_id, {"alive": True})
+        elif op == "destroy":
+            self._record("delete", _ENTITY_TABLE, entity_id, None)
+        elif op == "attach":
+            self._record("set_row", _COMPONENT_TABLE_PREFIX + component,
+                         entity_id, dict(payload or {}))
+        elif op == "detach":
+            self._record("delete", _COMPONENT_TABLE_PREFIX + component,
+                         entity_id, None)
+        elif op == "update":
+            self._record("put", _COMPONENT_TABLE_PREFIX + component,
+                         entity_id, dict(payload or {}))
+
+    def on_column_change(
+        self, component: str, field: str, ids: Any, values: Any
+    ) -> None:
+        """Column event from ``set_column``: one ``put`` per changed cell."""
+        table = _COMPONENT_TABLE_PREFIX + component
+        for entity_id, value in zip(ids, values):
+            self._record("put", table, entity_id, {field: value})
+
+    def _record(self, kind: str, table: str, entity_id: int, payload: Any) -> None:
+        """Journal one Action; it consumes the pending importance."""
         importance = self._pending_importance
         self._pending_importance = 0.0
-        tick = self.world.clock.tick
-        if op == "spawn":
-            action = Action("put", _ENTITY_TABLE, entity_id, {"alive": True},
-                            importance, tick)
-        elif op == "destroy":
-            action = Action("delete", _ENTITY_TABLE, entity_id, None,
-                            importance, tick)
-        elif op == "attach":
-            action = Action(
-                "set_row", _COMPONENT_TABLE_PREFIX + component,
-                entity_id, dict(payload or {}), importance, tick,
-            )
-        elif op == "detach":
-            action = Action(
-                "delete", _COMPONENT_TABLE_PREFIX + component,
-                entity_id, None, importance, tick,
-            )
-        elif op == "update":
-            action = Action(
-                "put", _COMPONENT_TABLE_PREFIX + component,
-                entity_id, dict(payload or {}), importance, tick,
-            )
-        else:  # pragma: no cover - future ops
-            return
-        self.manager.record(action)
+        self.manager.record(Action(
+            kind, table, entity_id, payload, importance, self.world.clock.tick
+        ))
 
     def _record_schemas(self) -> None:
         """Persist component schemas so recovery can rebuild the world."""

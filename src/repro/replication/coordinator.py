@@ -297,6 +297,10 @@ class ReplicatedClusterCoordinator(ClusterCoordinator):
         # replayable — and the restored snapshot, whose rows the standby
         # serialized at its catalog version, lands on matching shapes.
         host.world.catalog.catch_up(best.world.catalog.schema_state())
+        # The cluster's systems and change hooks, before the state: the
+        # hooks (e.g. a gateway's ClusterView) hear the restore, so the
+        # promoted values — possibly rolled back — are streamed again.
+        self._install_registrations(host)
         host.world.restore(snapshot)
         promoted_hash = host.world.state_hash()
         host.owned = set(best.owned)

@@ -2,7 +2,8 @@
 
 A :class:`ShardJournal` wraps a :class:`~repro.persistence.wal.WriteAheadLog`
 and records every logical state change a primary shard makes — world
-mutations (observed through the ``GameWorld`` change hook), ownership
+mutations (observed through the ``GameWorld`` change hook: one record
+per row event, one per ``set_column`` column event), ownership
 changes, transaction decisions, and a per-frame tick marker.  The
 journal is flushed once per global tick (one simulated fsync per frame,
 the group-commit boundary), and the durable tail is what log shipping
@@ -17,7 +18,7 @@ invariant the replication tests pin down.
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 from repro.core.world import GameWorld
 from repro.errors import ReplicationError
@@ -54,6 +55,20 @@ class ShardJournal:
         if op in ("attach", "update") and payload is not None:
             record["v"] = dict(payload)
         return self.wal.append(record)
+
+    def on_column_change(
+        self, component: str, field: str, ids: Sequence[int], values: Sequence[Any]
+    ) -> int:
+        """Record one ``set_column`` write (the column-event feed).
+
+        One record for the whole column: every cell in it changed at
+        the primary, so replaying it through ``set_column`` changes the
+        same cells, in the same order, at an identical replica.
+        """
+        return self.wal.append(
+            {"op": "column", "c": component, "f": field,
+             "e": list(ids), "v": list(values)}
+        )
 
     def log_own(self, entity: int) -> int:
         """Record that this shard took ownership of an entity."""
@@ -141,6 +156,8 @@ def apply_record(
         world.detach(payload["e"], payload["c"])
     elif op == "update":
         world.set(payload["e"], payload["c"], **payload.get("v", {}))
+    elif op == "column":
+        world.set_column(payload["c"], payload["f"], payload["e"], payload["v"])
     elif op == "own":
         owned.add(payload["e"])
     elif op == "disown":

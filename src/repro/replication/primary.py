@@ -55,7 +55,7 @@ class ReplicatedShardHost(ShardHost):
         self._acked: dict[str, int] = {}
         self._shipped: dict[str, int] = {}
         self._ack_progress_tick: dict[str, int] = {}
-        self.world.add_change_hook(self._journal_change)
+        self.world.add_change_hook(self.journal.log_change)
         # Registered after construction on purpose: the constructor's
         # catalog defines are part of the shard's seed (replicas make
         # the same defines themselves), so only later catalog events —
@@ -63,15 +63,6 @@ class ReplicatedShardHost(ShardHost):
         self.world.catalog.add_hook(self._journal_schema)
 
     # -- journaling hooks ---------------------------------------------------------
-
-    def _journal_change(
-        self,
-        op: str,
-        entity: int,
-        component: str | None,
-        payload: Mapping[str, Any] | None,
-    ) -> None:
-        self.journal.log_change(op, entity, component, payload)
 
     def _journal_schema(self, kind: str, record: Mapping[str, Any]) -> None:
         if kind == "define":

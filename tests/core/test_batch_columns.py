@@ -7,6 +7,7 @@ from repro.core import F, GameWorld, schema
 from repro.core.table import ComponentTable
 from repro.errors import ComponentMissingError, SchemaError
 from repro.spatial import UniformGrid
+from tests.change_log import ChangeLog
 
 
 @pytest.fixture
@@ -93,12 +94,10 @@ class TestWorldSetColumn:
 
     def test_change_hooks_fire_per_changed_entity(self, world):
         ids = [world.spawn(Health={"hp": 10}) for _ in range(3)]
-        log = []
-        world.add_change_hook(
-            lambda op, e, c, p: log.append((op, e, c, dict(p or {})))
-        )
+        log = ChangeLog()
+        world.add_change_hook(log)
         world.set_column("Health", "hp", ids, [10, 20, 30])  # first is noop
-        updates = [entry for entry in log if entry[0] == "update"]
+        updates = [entry for entry in log.events if entry[0] == "update"]
         assert len(updates) == 2
         assert updates[0][3] == {"hp": 20}
 

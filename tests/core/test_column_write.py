@@ -118,11 +118,7 @@ def _build(sc):
     )
     log = _ColumnLog()
     world.add_change_hook(log)
-    row_log = []
-    world.add_change_hook(
-        lambda op, eid, comp, payload: row_log.append((op, eid, comp, dict(payload)))
-    )
-    return world, observed, log, row_log
+    return world, observed, log
 
 
 def _target_ids(sc, live):
@@ -153,8 +149,8 @@ class TestUpdateColumnEquivalence:
     @given(sc=_scenario())
     def test_matches_per_cell_loop(self, sc):
         field = sc["field"]
-        fast, fast_obs, fast_log, fast_rows = _build(sc)
-        ref, ref_obs, ref_log, ref_rows = _build(sc)
+        fast, fast_obs, fast_log = _build(sc)
+        ref, ref_obs, ref_log = _build(sc)
         ids = _target_ids(sc, list(fast.table("Cell").entity_ids))
         values = sc["values"]
 
@@ -172,9 +168,7 @@ class TestUpdateColumnEquivalence:
             assert list(zip(ev_ids, ev_values)) == expected
         else:
             assert fast_log.columns == []
-        # A row-protocol hook hears the same cells through the adapter.
-        assert fast_rows == ref_rows
-        assert fast_log.rows == []  # column-capable hooks get no row echo
+        assert fast_log.rows == []  # a column write has no row echo
         index = fast.index_manager("Cell").sorted_index(field)
         if index is not None:
             table = fast.table("Cell")
@@ -205,8 +199,8 @@ class TestValidateBeforeWrite:
         world = _world(backend, schema("Cell", v="float"))
         ids = [world.spawn(Cell={"v": 0.0}) for _ in range(5)]
         world.index_manager("Cell").create_sorted_index("v")
-        hook_log = []
-        world.add_change_hook(lambda *event: hook_log.append(event))
+        log = _ColumnLog()
+        world.add_change_hook(log)
         table = world.table("Cell")
         index = world.index_manager("Cell").sorted_index("v")
         before = (table.column("v"), table.version, index.ordered_ids())
@@ -215,7 +209,7 @@ class TestValidateBeforeWrite:
             world.set_column("Cell", "v", target, [1.0, 2.0, "bad", 4.0, 5.0])
         assert (table.column("v"), table.version, index.ordered_ids()) == before
         assert index.range(0.5, None) == []
-        assert hook_log == []
+        assert (log.rows, log.columns) == ([], [])
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_missing_entity_writes_nothing(self, backend):
@@ -262,12 +256,6 @@ class TestValidateColumn:
 # -- the gateway: column events ≡ per-cell row events --------------------------------
 
 
-class _PerCellClusterView(ClusterView):
-    """The same view, but hooks see it as row-protocol only."""
-
-    on_column_change = None
-
-
 WALL = 150.0
 
 
@@ -292,7 +280,7 @@ def _drift_one(world, eid, dt):
     )
 
 
-def _stream_run(view_cls, seed, batch, ticks=40):
+def _stream_run(seed, batch, ticks=40):
     cluster = ClusterCoordinator(
         2,
         StaticGridPlacement(
@@ -321,7 +309,7 @@ def _stream_run(view_cls, seed, batch, ticks=40):
         )
     else:
         cluster.add_per_entity_system("drift", ["Position", "Velocity"], _drift_one)
-    view = view_cls(cluster)
+    view = ClusterView(cluster)
     stream = InterestStream(view, default_radius=25.0)
     avatars = eids[:6]
     states = {a: ClientStreamState() for a in avatars}
@@ -346,15 +334,12 @@ class TestClusterViewColumnEvents:
     @pytest.mark.parametrize("seed", [0, 7])
     def test_same_deltas_as_per_cell_path(self, seed):
         # Reference: per-entity writes, each heard as a row event.
-        ref_cluster, ref_deltas, ref_suppressed = _stream_run(
-            _PerCellClusterView, seed, batch=False
-        )
+        ref_cluster, ref_deltas, ref_suppressed = _stream_run(seed, batch=False)
         assert ref_cluster.stats().migrations > 0
         assert any(d.updates for tick in ref_deltas for d in tick)
         assert any(d.enters for tick in ref_deltas for d in tick)
-        # Column writes, heard as column events or through the adapter.
-        for view_cls in (ClusterView, _PerCellClusterView):
-            cluster, deltas, suppressed = _stream_run(view_cls, seed, batch=True)
-            assert cluster.state_hash() == ref_cluster.state_hash()
-            assert deltas == ref_deltas
-            assert suppressed == ref_suppressed
+        # Column writes, heard as column events.
+        cluster, deltas, suppressed = _stream_run(seed, batch=True)
+        assert cluster.state_hash() == ref_cluster.state_hash()
+        assert deltas == ref_deltas
+        assert suppressed == ref_suppressed

@@ -10,6 +10,7 @@ from repro.errors import (
     UnknownComponentError,
     UnknownEntityError,
 )
+from tests.change_log import ChangeLog
 
 
 @pytest.fixture
@@ -117,29 +118,37 @@ class TestEntityLifecycle:
 
 class TestChangeHooks:
     def test_hook_sees_all_ops(self, world):
-        log = []
-        world.add_change_hook(lambda op, e, c, p: log.append((op, c)))
+        log = ChangeLog()
+        world.add_change_hook(log)
         eid = world.spawn(Health={"hp": 5})
         world.set(eid, "Health", hp=6)
         world.detach(eid, "Health")
         world.destroy(eid)
-        ops = [entry[0] for entry in log]
+        ops = [entry[0] for entry in log.events]
         assert ops == ["spawn", "attach", "update", "detach", "destroy"]
 
     def test_hook_removal(self, world):
-        log = []
-        hook = lambda op, e, c, p: log.append(op)
-        world.add_change_hook(hook)
+        log = ChangeLog()
+        world.add_change_hook(log)
         world.spawn()
-        world.remove_change_hook(hook)
+        world.remove_change_hook(log)
         world.spawn()
-        assert log == ["spawn"]
+        assert [entry[0] for entry in log.events] == ["spawn"]
 
     def test_noop_update_emits_nothing(self, world):
         eid = world.spawn(Health={"hp": 5})
-        log = []
-        world.add_change_hook(lambda op, e, c, p: log.append(op))
+        log = ChangeLog()
+        world.add_change_hook(log)
         world.set(eid, "Health", hp=5)
+        assert log.events == []
+
+    def test_row_only_hook_is_refused(self, world):
+        """A hook that cannot take a column event would miss set_column."""
+        log = []
+        with pytest.raises(TypeError, match="on_column_change"):
+            world.add_change_hook(lambda op, e, c, p: log.append(op))
+        eid = world.spawn(Health={"hp": 5})
+        world.set_column("Health", "hp", [eid], [6])
         assert log == []
 
 

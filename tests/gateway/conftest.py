@@ -6,6 +6,7 @@ a tiny world with the repro Position/Velocity idiom.
 
 from repro.core import GameWorld, schema
 from repro.gateway import (
+    Delta,
     FrameDecoder,
     GatewayConfig,
     GatewayCore,
@@ -77,3 +78,25 @@ class TestClient:
     def drain(self, budget=None):
         """Read the transport like a client; returns decoded messages."""
         return self.decoder.feed(self.transport.drain(budget))
+
+
+class ClientCopy:
+    """What one client knows: entity -> fields, folded from its deltas."""
+
+    def __init__(self, core, name, avatar):
+        self.client = TestClient(core, name, avatar=avatar)
+        self.client.hello()
+        self.entities = {}
+        self.updates = []
+
+    def pump(self):
+        for msg in self.client.drain():
+            if not isinstance(msg, Delta):
+                continue
+            for eid, fields in msg.enters:
+                self.entities[eid] = dict(fields)
+            for eid, fields in msg.updates:
+                self.entities.setdefault(eid, {}).update(fields)
+                self.updates.append(eid)
+            for eid in msg.exits:
+                self.entities.pop(eid, None)

@@ -17,6 +17,7 @@ from repro.persistence import (
 )
 from repro.scripting import CompiledScript, Interpreter, TriggerManager, build_stdlib
 from repro.spatial import UniformGrid
+from tests.change_log import ChangeLog
 
 
 @pytest.fixture
@@ -130,14 +131,14 @@ class TestWorldPersistenceBridge:
         db = InMemoryGameDB(wal)
         db.create_table("entities")
 
-        def hook(op, entity_id, component, payload):
-            if op == "update" and component == "Health":
-                db.put("entities", entity_id, dict(payload), tick=world.clock.tick)
-
-        world.add_change_hook(hook)
+        log = ChangeLog()
+        world.add_change_hook(log)
         ids = [content.templates.instantiate(world, "orc") for _ in range(3)]
         for eid in ids:
             world.set(eid, "Health", hp=7)
+        for op, entity_id, component, payload in log.events:
+            if op == "update" and component == "Health":
+                db.put("entities", entity_id, dict(payload), tick=world.clock.tick)
         recovered, _report = recover(wal, SQLBackingStore())
         for eid in ids:
             assert recovered.get("entities", eid) == {"hp": 7}

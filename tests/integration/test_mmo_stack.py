@@ -1,13 +1,10 @@
 """Integration tests for the MMO side: bubbles over moving workloads,
-replication of simulated worlds, transactions over game state."""
+simulated worlds streamed to clients, transactions over game state."""
 
 
 from repro.consistency import (
     BubbleTimeline,
     CausalityBubblePartitioner,
-    ConsistencyLevel,
-    ConsistencyPolicy,
-    InterestManager,
     StaticGridPartitioner,
     TxnSpec,
     VersionedStore,
@@ -15,10 +12,10 @@ from repro.consistency import (
     read_for_update,
     write,
 )
-from repro.core import GameWorld, schema
-from repro.net import LinkConfig, ReplicationClient, ReplicationServer, SimNetwork
+from repro.gateway import GatewayConfig
 from repro.spatial import AABB, grid_join
 from repro.workloads import OrbitalModel, RandomWaypoint
+from tests.gateway.conftest import ClientCopy, make_core, make_world
 
 BOUNDS = AABB(0, 0, 600, 600)
 
@@ -61,59 +58,42 @@ class TestBubblesOverMovingWorkload:
 
 
 class TestReplicatedSimulatedWorld:
+    """A simulated world streamed to clients through the gateway edge."""
+
     def test_two_clients_converge_on_coarse_positions(self):
-        world = GameWorld()
-        world.catalog.define(schema("Position", x="float", y="float"))
-        net = SimNetwork(seed=1)
-        net.connect("server", "c1", LinkConfig(latency_ticks=1))
-        net.connect("server", "c2", LinkConfig(latency_ticks=2))
-        policy = ConsistencyPolicy()
-        policy.set_level("x", ConsistencyLevel.COARSE)
-        policy.set_level("y", ConsistencyLevel.COARSE)
-        server = ReplicationServer(
-            world, net, policy, coarse_interval=2, quantum=0.5
-        )
+        # Dead reckoning is the gateway's coarse tier: a position update
+        # is sent only once the client's extrapolation is off by more
+        # than dr_threshold, so every copy stays within it of the truth.
+        world = make_world()
         a1 = world.spawn(Position={"x": 0.0, "y": 0.0})
         a2 = world.spawn(Position={"x": 10.0, "y": 0.0})
         mover = world.spawn(Position={"x": 5.0, "y": 5.0})
-        server.register_client("c1", a1)
-        server.register_client("c2", a2)
-        c1 = ReplicationClient("c1", net, avatar=a1)
-        c2 = ReplicationClient("c2", net, avatar=a2)
+        config = GatewayConfig(default_radius=100.0, dr_threshold=0.5)
+        core = make_core(world, config=config)
+        copies = [ClientCopy(core, "c1", a1), ClientCopy(core, "c2", a2)]
         model = RandomWaypoint(AABB(0, 0, 50, 50), 1, seed=4)
         for _t in range(40):
             mx, my = model.positions()[0]
             world.set(mover, "Position", x=mx, y=my)
             model.step(0.3)
-            server.tick()
-            net.advance()
-            c1.tick()
-            c2.tick()
-        # let in-flight updates drain
-        for _ in range(5):
-            server.tick()
-            net.advance()
-            c1.tick()
-            c2.tick()
-        # both replicas agree with the quantised server value
+            world.tick()
+            core.tick()
+            for copy in copies:
+                copy.pump()
         truth = world.get(mover, "Position")
-        for client in (c1, c2):
-            assert abs(client.field_of(mover, "x") - truth["x"]) <= 0.5
-            assert abs(client.field_of(mover, "y") - truth["y"]) <= 0.5
-        assert c1.field_of(mover, "x") == c2.field_of(mover, "x")
+        for copy in copies:
+            assert abs(copy.entities[mover]["x"] - truth["x"]) <= 0.5
+            assert abs(copy.entities[mover]["y"] - truth["y"]) <= 0.5
+        assert copies[0].entities[mover] == copies[1].entities[mover]
 
     def test_interest_scoped_bandwidth(self):
         def run(radius):
-            world = GameWorld()
-            world.catalog.define(schema("Position", x="float", y="float"))
-            net = SimNetwork(seed=2)
-            net.connect("server", "c1", LinkConfig(latency_ticks=1))
-            policy = ConsistencyPolicy(default=ConsistencyLevel.STRONG)
-            interest = InterestManager(radius=radius) if radius else None
-            server = ReplicationServer(world, net, policy, interest)
+            world = make_world()
             avatar = world.spawn(Position={"x": 0.0, "y": 0.0})
-            server.register_client("c1", avatar)
-            client = ReplicationClient("c1", net, avatar=avatar)
+            core = make_core(world, config=GatewayConfig(
+                default_radius=radius, max_radius=radius,
+            ))
+            ClientCopy(core, "c1", avatar)
             movers = [
                 world.spawn(Position={"x": 100.0 + i, "y": 100.0})
                 for i in range(20)
@@ -121,13 +101,12 @@ class TestReplicatedSimulatedWorld:
             for t in range(20):
                 for m in movers:
                     world.set(m, "Position", y=100.0 + t)
-                server.tick()
-                net.advance()
-                client.tick()
-            return net.total_bytes()
+                world.tick()
+                core.tick()
+            return core.bytes_sent
 
-        scoped = run(radius=30)
-        unscoped = run(radius=None)
+        scoped = run(radius=30.0)
+        unscoped = run(radius=1000.0)
         assert scoped < unscoped / 2
 
 

@@ -1,195 +1,78 @@
-"""End-to-end tests for the replication server/client pair."""
+"""Client-state replication end to end: a GatewayCore streaming a world.
 
-import pytest
+The gateway is the edge that replicates authoritative state to clients:
+interest-scoped deltas over memory transports, deterministic under a
+fake clock.  A client's copy of the world is folded from its deltas.
+"""
 
-from repro.consistency import ConsistencyLevel, ConsistencyPolicy, InterestManager
-from repro.core import GameWorld, schema
-from repro.net import (
-    LinkConfig,
-    ReplicationClient,
-    ReplicationServer,
-    SimNetwork,
-)
+from repro.gateway import GatewayConfig, Reject
+from tests.gateway.conftest import ClientCopy, TestClient, make_core, make_world
 
 
-def make_rig(latency=1, interest_radius=None, coarse_interval=2):
-    world = GameWorld()
-    world.catalog.define(schema("Position", x="float", y="float"))
-    net = SimNetwork(seed=0)
-    net.connect("server", "c1", LinkConfig(latency_ticks=latency))
-    policy = ConsistencyPolicy(default=ConsistencyLevel.STRONG)
-    interest = (
-        InterestManager(radius=interest_radius) if interest_radius else None
-    )
-    server = ReplicationServer(
-        world, net, policy, interest, coarse_interval=coarse_interval
-    )
-    return world, net, server
+def make_rig(radius=20.0):
+    world = make_world()
+    avatar = world.spawn(Position={"x": 0.0, "y": 0.0})
+    core = make_core(world, config=GatewayConfig(default_radius=radius))
+    return world, core, avatar
 
 
-def pump(world, net, server, clients, ticks=1):
+def pump(world, core, copy, ticks=1):
     for _ in range(ticks):
-        server.tick()
-        net.advance()
-        for c in clients:
-            c.tick()
+        world.tick()
+        core.tick()
+        copy.pump()
 
 
 class TestStateReplication:
     def test_strong_update_reaches_client(self):
-        world, net, server = make_rig()
-        avatar = world.spawn(Position={"x": 0.0, "y": 0.0})
+        world, core, avatar = make_rig()
         other = world.spawn(Position={"x": 5.0, "y": 5.0})
-        server.register_client("c1", avatar)
-        client = ReplicationClient("c1", net, avatar=avatar)
+        copy = ClientCopy(core, "c1", avatar)
+        pump(world, core, copy)
         world.set(other, "Position", x=7.0)
-        pump(world, net, server, [client], ticks=3)
-        assert client.field_of(other, "x") == 7.0
-
-    def test_coarse_tier_quantises(self):
-        world = GameWorld()
-        world.catalog.define(schema("Position", x="float", y="float"))
-        net = SimNetwork()
-        net.connect("server", "c1", LinkConfig(latency_ticks=1))
-        policy = ConsistencyPolicy()
-        policy.set_level("x", ConsistencyLevel.COARSE)
-        policy.set_level("y", ConsistencyLevel.COARSE)
-        server = ReplicationServer(
-            world, net, policy, coarse_interval=1, quantum=1.0
-        )
-        avatar = world.spawn(Position={"x": 0.0, "y": 0.0})
-        mover = world.spawn(Position={"x": 0.0, "y": 0.0})
-        server.register_client("c1", avatar)
-        client = ReplicationClient("c1", net, avatar=avatar)
-        world.set(mover, "Position", x=3.4)
-        pump(world, net, server, [client], ticks=3)
-        assert client.field_of(mover, "x") == 3.0
-
-    def test_coarse_tier_saves_bandwidth(self):
-        results = {}
-        for interval in (1, 10):
-            world = GameWorld()
-            world.catalog.define(schema("Position", x="float", y="float"))
-            net = SimNetwork()
-            net.connect("server", "c1", LinkConfig(latency_ticks=1))
-            policy = ConsistencyPolicy()
-            policy.set_level("x", ConsistencyLevel.COARSE)
-            policy.set_level("y", ConsistencyLevel.COARSE)
-            server = ReplicationServer(world, net, policy, coarse_interval=interval)
-            avatar = world.spawn(Position={"x": 0.0, "y": 0.0})
-            mover = world.spawn(Position={"x": 0.0, "y": 0.0})
-            server.register_client("c1", avatar)
-            client = ReplicationClient("c1", net, avatar=avatar)
-            for t in range(40):
-                world.set(mover, "Position", x=float(t))
-                pump(world, net, server, [client])
-            results[interval] = net.total_bytes()
-        assert results[10] < results[1]
+        pump(world, core, copy, ticks=3)
+        assert copy.entities[other]["x"] == 7.0
 
     def test_duplicate_client_rejected(self):
-        world, net, server = make_rig()
-        avatar = world.spawn(Position={"x": 0.0, "y": 0.0})
-        server.register_client("c1", avatar)
-        from repro.errors import NetError
-
-        with pytest.raises(NetError):
-            server.register_client("c1", avatar)
+        world, core, avatar = make_rig()
+        ClientCopy(core, "c1", avatar)
+        (reply,) = TestClient(core, "c1").hello()
+        assert isinstance(reply, Reject)
 
 
 class TestInterestScoping:
     def test_far_entity_invisible(self):
-        world, net, server = make_rig(interest_radius=20)
-        avatar = world.spawn(Position={"x": 0.0, "y": 0.0})
+        world, core, avatar = make_rig()
         near = world.spawn(Position={"x": 5.0, "y": 0.0})
         far = world.spawn(Position={"x": 500.0, "y": 0.0})
-        server.register_client("c1", avatar)
-        client = ReplicationClient("c1", net, avatar=avatar)
-        pump(world, net, server, [client], ticks=3)
-        assert near in client.known_entities()
-        assert far not in client.known_entities()
+        copy = ClientCopy(core, "c1", avatar)
+        pump(world, core, copy, ticks=3)
+        assert near in copy.entities
+        assert far not in copy.entities
 
     def test_enter_exit_lifecycle(self):
-        world, net, server = make_rig(interest_radius=20)
-        avatar = world.spawn(Position={"x": 0.0, "y": 0.0})
+        world, core, avatar = make_rig()
         walker = world.spawn(Position={"x": 100.0, "y": 0.0})
-        server.register_client("c1", avatar)
-        client = ReplicationClient("c1", net, avatar=avatar)
-        pump(world, net, server, [client], ticks=2)
-        assert walker not in client.known_entities()
+        copy = ClientCopy(core, "c1", avatar)
+        stream = next(iter(core.sessions.sessions.values())).stream
+        pump(world, core, copy, ticks=2)
+        assert walker not in copy.entities
         world.set(walker, "Position", x=10.0)
-        pump(world, net, server, [client], ticks=3)
-        assert walker in client.known_entities()
-        assert client.stats.enters >= 1
+        pump(world, core, copy, ticks=3)
+        assert walker in copy.entities
+        assert stream.enters >= 1
         world.set(walker, "Position", x=300.0)
-        pump(world, net, server, [client], ticks=3)
-        assert walker not in client.known_entities()
-        assert client.stats.exits >= 1
+        pump(world, core, copy, ticks=3)
+        assert walker not in copy.entities
+        assert stream.exits >= 1
 
     def test_updates_not_sent_to_uninterested(self):
-        world, net, server = make_rig(interest_radius=20)
-        avatar = world.spawn(Position={"x": 0.0, "y": 0.0})
+        world, core, avatar = make_rig()
         far = world.spawn(Position={"x": 500.0, "y": 0.0})
-        server.register_client("c1", avatar)
-        client = ReplicationClient("c1", net, avatar=avatar)
-        pump(world, net, server, [client], ticks=2)
-        base_updates = client.stats.updates_applied
+        copy = ClientCopy(core, "c1", avatar)
+        pump(world, core, copy, ticks=2)
         for t in range(10):
             world.set(far, "Position", x=500.0 + t)
-            pump(world, net, server, [client])
-        assert client.stats.updates_applied == base_updates
-
-
-class TestPredictionReconciliation:
-    def _move_rig(self, latency=3):
-        world, net, server = make_rig(latency=latency)
-        avatar = world.spawn(Position={"x": 0.0, "y": 0.0})
-        server.register_client("c1", avatar)
-
-        def handle_move(w, client_name, cmd):
-            eid = server.avatar_of(client_name)
-            pos = w.get(eid, "Position")
-            w.set(eid, "Position",
-                  x=pos["x"] + cmd.args["dx"], y=pos["y"] + cmd.args["dy"])
-            return w.get(eid, "Position")
-
-        server.register_input("move", handle_move)
-        client = ReplicationClient("c1", net, avatar=avatar)
-        client.register_predictor(
-            "move",
-            lambda cur, cmd: {
-                "x": cur.get("x", 0.0) + cmd.args["dx"],
-                "y": cur.get("y", 0.0) + cmd.args["dy"],
-            },
-        )
-        return world, net, server, client, avatar
-
-    def test_prediction_is_instant(self):
-        world, net, server, client, avatar = self._move_rig(latency=5)
-        client.send_input("move", dx=2.0, dy=0.0)
-        # before any round trip the client already shows the move
-        assert client.replica[avatar]["x"] == 2.0
-        assert world.get_field(avatar, "Position", "x") == 0.0
-
-    def test_ack_converges_to_authoritative(self):
-        world, net, server, client, avatar = self._move_rig(latency=2)
-        client.send_input("move", dx=2.0, dy=0.0)
-        pump(world, net, server, [client], ticks=8)
-        assert world.get_field(avatar, "Position", "x") == 2.0
-        assert client.replica[avatar]["x"] == 2.0
-        assert client.stats.reconciliations == 1
-        assert client.stats.mispredictions == 0
-
-    def test_pipelined_inputs_replay(self):
-        world, net, server, client, avatar = self._move_rig(latency=4)
-        for _ in range(3):
-            client.send_input("move", dx=1.0, dy=0.0)
-        assert client.replica[avatar]["x"] == 3.0
-        pump(world, net, server, [client], ticks=15)
-        assert world.get_field(avatar, "Position", "x") == 3.0
-        assert client.replica[avatar]["x"] == 3.0
-
-    def test_rejected_input_acked(self):
-        world, net, server, client, avatar = self._move_rig()
-        client.send_input("fly", up=1.0)  # no handler registered
-        pump(world, net, server, [client], ticks=6)
-        assert client.stats.reconciliations >= 0  # no crash; ack consumed
+            pump(world, core, copy)
+        assert far not in copy.updates
+        assert far not in copy.entities

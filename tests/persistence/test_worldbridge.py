@@ -34,6 +34,17 @@ class TestJournaling:
         # spawn + 2 attach + update + detach(+Position detach) + destroy
         assert bridge.wal.durable_count() - base >= 6
 
+    def test_column_write_journals_one_put_per_changed_cell(self):
+        world = make_world()
+        store = SnapshotStore()
+        bridge = WorldPersistence(world, store, IntervalPolicy(10 ** 9))
+        ids = [world.spawn(Health={"hp": 10}) for _ in range(3)]
+        base = bridge.wal.durable_count()
+        world.set_column("Health", "hp", ids, [10, 20, 30])  # first is noop
+        assert bridge.wal.durable_count() - base == 2
+        recovered, _ = recover_world(bridge.wal, store)
+        assert [recovered.get_field(e, "Health", "hp") for e in ids] == [10, 20, 30]
+
     def test_close_detaches(self):
         world = make_world()
         bridge = WorldPersistence(
@@ -156,6 +167,18 @@ class TestImportancePlumbing:
         taken = bridge.checkpoints_taken
         world.set(eid, "Health", hp=70)  # importance reset to routine
         assert bridge.checkpoints_taken == taken
+
+    def test_column_write_gives_importance_to_its_first_cell(self):
+        world = make_world()
+        bridge = WorldPersistence(
+            world, SnapshotStore(),
+            EventDrivenPolicy(importance_threshold=10.0, instant_threshold=0.9),
+        )
+        ids = [world.spawn(Health={}) for _ in range(3)]
+        before = bridge.checkpoints_taken
+        bridge.mark_importance(0.95)
+        world.set_column("Health", "hp", ids, [80, 70, 60])
+        assert bridge.checkpoints_taken == before + 1
 
     def test_checkpoint_now(self):
         world = make_world()

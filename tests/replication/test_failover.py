@@ -8,6 +8,7 @@ and pins the promoted replica's state to a crash-free reference run.
 import pytest
 
 from repro.errors import ReplicationError
+from repro.gateway import ClusterView
 from repro.net import FaultInjector
 from repro.replication import ACK_ASYNC
 from tests.replication.conftest import (
@@ -143,6 +144,36 @@ class TestGroupRebuild:
         frozen = cluster.shards[0].world.state_hash()
         cluster.tick()
         assert all(rep.state_hash() == frozen for rep in group)
+
+
+class TestPromotedHostKeepsRegistrations:
+    def test_promoted_primary_runs_systems_and_is_streamed(self):
+        """A failover builds a fresh primary host.  The cluster's systems
+        and change hooks must come with it: otherwise the shard stops
+        moving and a gateway's ClusterView stops hearing it."""
+        injector = FaultInjector().crash("shard:0", at_tick=6)
+        cluster, _cfg, _ = build_replicated(seed=7, injector=injector)
+        view = ClusterView(cluster)
+        cluster.run(5)
+        view.collect()  # the dead primary's last writes, already streamed
+        while not cluster.failovers:
+            cluster.tick()
+        mine = owned_by(cluster, 0)
+        assert mine
+        # The promoted host is heard: its restore re-streams the promoted
+        # (possibly rolled back) values, then its own ticks stream.
+        positions = cluster.positions()
+        restored = view.collect().dirty
+        for eid in mine:
+            assert (restored[eid]["x"], restored[eid]["y"]) == positions[eid]
+        before = cluster.positions()
+        cluster.run(5)
+        after = cluster.positions()
+        assert [e for e in mine if after[e] != before[e]] == mine
+        dirty = view.collect().dirty
+        for eid in mine:
+            assert (dirty[eid]["x"], dirty[eid]["y"]) == after[eid]
+        view.close()
 
 
 class TestDeterminism:

@@ -53,6 +53,14 @@ class TestShardJournal:
                           "v": {"x": 1.0, "y": 2.0}}
         assert detach == {"op": "detach", "e": 5, "c": "Position"}
 
+    def test_column_event_is_one_record(self):
+        journal = ShardJournal()
+        journal.on_column_change("Position", "x", (5, 6), [1.0, 2.0])
+        journal.flush()
+        ((_, record),) = journal.ship_since(0)
+        assert record == {"op": "column", "c": "Position", "f": "x",
+                          "e": [5, 6], "v": [1.0, 2.0]}
+
 
 class TestApplyRecord:
     def test_change_stream_reconstructs_world(self):
@@ -73,6 +81,26 @@ class TestApplyRecord:
         replay_all(journal, standby)
         assert standby.state_hash() == src.state_hash()
         assert standby.get(b, "Position")["y"] == 9.0
+
+    def test_column_record_replays_bit_identical(self):
+        """One column record per set_column; replay changes the same
+        cells, repeated ids included, so hash and version both match."""
+        src = make_world()
+        journal = ShardJournal()
+        src.add_change_hook(journal.log_change)
+        a = src.spawn(Position={"x": 1.0, "y": 2.0})
+        b = src.spawn(Position={"x": 9.0, "y": 9.0})
+        before = journal.wal.next_lsn
+        src.set_column("Position", "x", [a, b, a, b], [4, 9.0, 5.5, -0.0])
+        assert journal.wal.next_lsn == before + 1
+        journal.flush()
+
+        standby = make_world()
+        replay_all(journal, standby)
+        assert standby.state_hash() == src.state_hash()
+        assert (standby.table("Position").version
+                == src.table("Position").version)
+        assert repr(standby.get_field(b, "Position", "x")) == "-0.0"
 
     def test_ownership_and_txn_markers(self):
         journal = ShardJournal()

@@ -1,16 +1,24 @@
-"""Import layering: ``repro.core`` is the bottom of the stack.
+"""Import layering: each package may import only the packages in its row.
 
-Every import statement under ``src/repro/core`` — module level, inside a
-function, or under ``TYPE_CHECKING`` — may name only the packages below.
+Every import statement under ``src/repro/<package>`` — module level,
+inside a function, or under ``TYPE_CHECKING`` — may name only the
+packages its row of :data:`ALLOWED` lists.
 """
 
 import ast
 from pathlib import Path
 
-import repro.core
+import pytest
 
-CORE = Path(repro.core.__file__).parent
-ALLOWED = ("repro.core", "repro.errors", "repro.obs", "repro.schema")
+import repro
+
+SRC = Path(repro.__file__).parent
+
+#: package -> the ``repro`` packages its modules may import.
+ALLOWED = {
+    "core": ("repro.core", "repro.errors", "repro.obs", "repro.schema"),
+    "net": ("repro.net", "repro.errors", "repro.obs"),
+}
 
 
 def _repro_imports(path: Path):
@@ -20,8 +28,8 @@ def _repro_imports(path: Path):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
             parts = [node.module] if node.module else []
-            if node.level:  # relative: resolve against repro.core[.sub]
-                base = ("repro", *path.relative_to(CORE.parent).parts[:-1])
+            if node.level:  # relative: resolve against the module's package
+                base = ("repro", *path.relative_to(SRC).parts[:-1])
                 parts = [*base[: len(base) - node.level + 1], *parts]
             names = [".".join(parts)]
         else:
@@ -31,13 +39,15 @@ def _repro_imports(path: Path):
                 yield node.lineno, name
 
 
-def test_core_never_imports_upward():
-    files = sorted(CORE.rglob("*.py"))
+@pytest.mark.parametrize("package", sorted(ALLOWED))
+def test_package_imports_only_its_row(package):
+    allowed = ALLOWED[package]
+    files = sorted((SRC / package).rglob("*.py"))
     assert files
-    upward = [
-        f"{path.relative_to(CORE.parent)}:{lineno} imports {name}"
+    outside = [
+        f"{path.relative_to(SRC)}:{lineno} imports {name}"
         for path in files
         for lineno, name in _repro_imports(path)
-        if not any(name == a or name.startswith(a + ".") for a in ALLOWED)
+        if not any(name == a or name.startswith(a + ".") for a in allowed)
     ]
-    assert not upward, "\n".join(upward)
+    assert not outside, "\n".join(outside)
