@@ -157,9 +157,7 @@ class CausalityBubblePartitioner:
         reach: dict[int, float],
         pair_radius: float,
     ) -> list[tuple[int, int]]:
-        grid = UniformGrid(max(pair_radius, 1e-9))
-        for eid, (x, y) in positions.items():
-            grid.insert(eid, x, y)
+        grid = UniformGrid.from_points(max(pair_radius, 1e-9), positions)
         edges = []
         for a, b in grid.pairs_within(pair_radius):
             ax, ay = positions[a]

@@ -14,6 +14,7 @@ and missed-interaction rate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -90,38 +91,72 @@ class InterestManager:
     ) -> list[InterestEvent]:
         """Recompute AOIs for a position snapshot; returns enter/exit events.
 
-        Uses a shared grid over all subjects so the pass is
-        O(n · density) rather than O(observers × subjects).
+        One grid over all subjects is bulk-built per call, cell size =
+        exit radius, so the pass is O(n · density) rather than
+        O(observers × subjects).  Each observer then scans the cell
+        window of its exit-radius box once, computing every candidate's
+        squared distance once and classifying it against both radii:
+        inside the exit radius it stays, inside the enter radius and not
+        yet known it enters, and whatever was known but not kept exits.
+        Per observer, enters come sorted, then exits sorted.
+
+        A subject at a non-finite position lands in no cell, so it is in
+        no AOI; an observer at one sees no one, so its whole AOI exits.
         """
         self._tick += 1
-        grid = UniformGrid(max(self.exit_radius, 1e-9))
-        for eid, (x, y) in positions.items():
-            grid.insert(eid, x, y)
+        tick = self._tick
+        r2 = self.radius * self.radius
+        reach = self.exit_radius
+        e2 = reach * reach
+        size = max(reach, 1e-9)
+        bucket_at = UniformGrid.from_points(size, positions).cells.get
+        floor = math.floor
+        stats = self.stats
+        aoi = self._aoi
         events: list[InterestEvent] = []
         for observer in observers:
-            if observer not in positions:
+            position = positions.get(observer)
+            if position is None:
                 continue
-            ox, oy = positions[observer]
-            current = self._aoi.setdefault(observer, set())
-            near_enter = {
-                s for s in grid.query_circle(ox, oy, self.radius) if s != observer
-            }
-            near_exit = {
-                s
-                for s in grid.query_circle(ox, oy, self.exit_radius)
-                if s != observer
-            }
-            for subject in sorted(near_enter - current):
-                current.add(subject)
-                self.stats.enter_events += 1
-                events.append(
-                    InterestEvent("enter", observer, subject, self._tick)
+            ox, oy = position
+            current = aoi.setdefault(observer, set())
+            kept: set[int] = set()
+            keep = kept.add
+            entered: list[int] = []
+            # The exit-radius box's cell window, by division exactly as the
+            # grid keys its cells, so ties at cell edges round as in a
+            # grid.query_circle at the exit radius.
+            try:
+                columns = range(floor((ox - reach) / size), floor((ox + reach) / size) + 1)
+                rows = range(floor((oy - reach) / size), floor((oy + reach) / size) + 1)
+            except (OverflowError, ValueError):  # a non-finite observer
+                columns = rows = range(0)
+            for cx in columns:
+                for cy in rows:
+                    bucket = bucket_at((cx, cy))
+                    if bucket is None:
+                        continue
+                    for subject, (x, y) in bucket.items():
+                        dx = x - ox
+                        dy = y - oy
+                        d2 = dx * dx + dy * dy
+                        if d2 <= e2:
+                            keep(subject)
+                            if d2 <= r2 and subject not in current and subject != observer:
+                                entered.append(subject)
+            if entered:
+                entered.sort()
+                current.update(entered)
+                stats.enter_events += len(entered)
+                events.extend(
+                    InterestEvent("enter", observer, s, tick) for s in entered
                 )
-            for subject in sorted(current - near_exit):
-                current.discard(subject)
-                self.stats.exit_events += 1
-                events.append(
-                    InterestEvent("exit", observer, subject, self._tick)
+            exited = current - kept
+            if exited:
+                current -= exited
+                stats.exit_events += len(exited)
+                events.extend(
+                    InterestEvent("exit", observer, s, tick) for s in sorted(exited)
                 )
         return events
 

@@ -256,9 +256,10 @@ class InterestStream:
     """Evaluates every client's interest query for one tick, set-at-a-time.
 
     Clients requesting the same radius share one
-    :class:`InterestManager` (and therefore one spatial-grid pass), so
-    the per-tick cost is O(radius-groups × entities) grid builds plus
-    the aggregate AOI density — not O(clients × entities).
+    :class:`InterestManager`, so each radius group costs one bulk grid
+    build over the tick's positions plus one pass per observer over its
+    exit-radius cell window: O(radius-groups × entities + clients ×
+    AOI density) — not O(clients × entities).
 
     **Encode once, fan out many.**  Every client that is sent an entity's
     update this tick is sent one of two field sets: the full sample

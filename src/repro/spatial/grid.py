@@ -10,16 +10,19 @@ Implements the common structure protocol used by
 :meth:`repro.core.indexes.IndexManager.attach_spatial`:
 ``insert``, ``remove``, ``move``, ``query_range``, ``query_circle``,
 ``query_knn``, plus ``pairs_within`` used by the join algorithms.
+Throwaway per-call grids are built in one pass by :meth:`UniformGrid.from_points`.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 from repro.errors import SpatialError
 from repro.spatial.geometry import AABB
+
+Bucket = dict[int, tuple[float, float]]
 
 
 class UniformGrid:
@@ -41,10 +44,35 @@ class UniformGrid:
             raise SpatialError("cell_size must be positive")
         self.cell_size = cell_size
         self.bounds = bounds
-        self._cells: dict[tuple[int, int], dict[int, tuple[float, float]]] = (
-            defaultdict(dict)
-        )
+        self._cells: dict[tuple[int, int], Bucket] = defaultdict(dict)
         self._pos: dict[int, tuple[float, float]] = {}
+
+    @classmethod
+    def from_points(
+        cls, cell_size: float, points: Mapping[int, tuple[float, float]]
+    ) -> "UniformGrid":
+        """A grid over ``{id: (x, y)}``, built in one pass.
+
+        Equal to inserting every point in mapping order, without the
+        per-point method call or duplicate check (mapping keys are
+        already unique).  A point whose cell index is not finite — a
+        ±inf or NaN coordinate — lands in no cell: no query finds it.
+        """
+        grid = cls(cell_size)
+        cells = grid._cells
+        pos = grid._pos = dict(points)
+        floor = math.floor
+        unplaced = []
+        for item_id, xy in pos.items():
+            try:
+                key = (floor(xy[0] / cell_size), floor(xy[1] / cell_size))
+            except (OverflowError, ValueError):
+                unplaced.append(item_id)
+                continue
+            cells[key][item_id] = xy
+        for item_id in unplaced:
+            del pos[item_id]
+        return grid
 
     # -- protocol --------------------------------------------------------------
 
@@ -95,7 +123,7 @@ class UniformGrid:
     def query_range(self, box: AABB) -> list[int]:
         """Ids of points inside the closed box."""
         out: list[int] = []
-        for bucket in self._buckets_overlapping(box):
+        for bucket in self._buckets_in(box.min_x, box.min_y, box.max_x, box.max_y):
             for item_id, (x, y) in bucket.items():
                 if box.contains_point(x, y):
                     out.append(item_id)
@@ -107,8 +135,7 @@ class UniformGrid:
             raise SpatialError("radius must be non-negative")
         r2 = r * r
         out: list[int] = []
-        box = AABB.around_circle(cx, cy, r)
-        for bucket in self._buckets_overlapping(box):
+        for bucket in self._buckets_in(cx - r, cy - r, cx + r, cy + r):
             for item_id, (x, y) in bucket.items():
                 dx, dy = x - cx, y - cy
                 if dx * dx + dy * dy <= r2:
@@ -193,26 +220,43 @@ class UniformGrid:
         """All stored ids."""
         return list(self._pos)
 
+    @property
+    def cells(self) -> Mapping[tuple[int, int], Bucket]:
+        """Occupied cell -> its bucket ``{id: (x, y)}``; read-only to callers.
+
+        A point's cell is ``(floor(x / cell_size), floor(y / cell_size))``.
+        For joins that scan cell windows themselves (the interest join).
+        """
+        return self._cells
+
     # -- internals -----------------------------------------------------------------
 
     def _cell(self, x: float, y: float) -> tuple[int, int]:
         return (math.floor(x / self.cell_size), math.floor(y / self.cell_size))
 
-    def _buckets_overlapping(self, box: AABB) -> Iterator[dict]:
-        x0, y0 = self._cell(box.min_x, box.min_y)
-        x1, y1 = self._cell(box.max_x, box.max_y)
-        # Iterate whichever is smaller: the cell window or the occupied set.
-        window = (x1 - x0 + 1) * (y1 - y0 + 1)
-        if window <= len(self._cells):
+    def _buckets_in(
+        self, min_x: float, min_y: float, max_x: float, max_y: float
+    ) -> list[Bucket]:
+        size = self.cell_size
+        floor = math.floor
+        x0, y0 = floor(min_x / size), floor(min_y / size)
+        x1, y1 = floor(max_x / size), floor(max_y / size)
+        cells = self._cells
+        # Scan whichever is smaller: the cell window or the occupied set.
+        if (x1 - x0 + 1) * (y1 - y0 + 1) <= len(cells):
+            get = cells.get
+            out = []
             for cx in range(x0, x1 + 1):
                 for cy in range(y0, y1 + 1):
-                    bucket = self._cells.get((cx, cy))
+                    bucket = get((cx, cy))
                     if bucket:
-                        yield bucket
-        else:
-            for (cx, cy), bucket in self._cells.items():
-                if x0 <= cx <= x1 and y0 <= cy <= y1:
-                    yield bucket
+                        out.append(bucket)
+            return out
+        return [
+            bucket
+            for (cx, cy), bucket in cells.items()
+            if x0 <= cx <= x1 and y0 <= cy <= y1
+        ]
 
     def _ring_cells(
         self, ccx: int, ccy: int, ring: int

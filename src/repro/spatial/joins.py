@@ -63,10 +63,7 @@ def grid_join(points: Points, r: float, cell_size: float | None = None) -> set[t
     if not points:
         return set()
     size = cell_size if cell_size is not None else max(r, 1e-9)
-    grid = UniformGrid(size)
-    for item_id, (x, y) in points.items():
-        grid.insert(item_id, x, y)
-    return set(grid.pairs_within(r))
+    return set(UniformGrid.from_points(size, points).pairs_within(r))
 
 
 def sweep_join(points: Points, r: float) -> set[tuple[int, int]]:

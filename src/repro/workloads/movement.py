@@ -242,9 +242,10 @@ class FlockingModel(_MovementBase):
         from repro.spatial.grid import UniformGrid
 
         self.ticks += 1
-        grid = UniformGrid(self.neighbor_radius)
-        for eid, m in self._movers.items():
-            grid.insert(eid, m.x, m.y)
+        grid = UniformGrid.from_points(
+            self.neighbor_radius,
+            {eid: (m.x, m.y) for eid, m in self._movers.items()},
+        )
         updates: dict[int, tuple[float, float]] = {}
         for eid, m in self._movers.items():
             neighbors = [

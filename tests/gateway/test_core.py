@@ -149,6 +149,35 @@ class TestStreaming:
         (delta,) = client.drain()
         assert delta.exits == (e2,)
 
+    def test_infinite_coordinate_does_not_kill_the_tick(self):
+        # FloatField admits ±inf.  An avatar there is in no one's AOI and
+        # sees no one; every other client keeps streaming.
+        world, core, e1, e2 = make_pair()
+        e3 = spawn(world, 0.0, 4.0)
+        alice = TestClient(core, "alice", avatar=e1)
+        bob = TestClient(core, "bob", avatar=e2)
+        alice.hello()
+        bob.hello()
+        world.tick()
+        core.tick()
+        alice.drain()
+        bob.drain()
+        world.set(e1, "Position", x=float("inf"))
+        world.set(e3, "Position", x=1.0, y=4.0)
+        world.tick()
+        core.tick()
+        (to_alice,) = alice.drain()
+        (to_bob,) = bob.drain()
+        assert sorted(to_alice.exits) == sorted([e2, e3])
+        assert to_bob.exits == (e1,)
+        assert dict(to_bob.updates)[e3]["x"] == 1.0
+        world.set(e1, "Position", x=2.0)
+        world.tick()
+        core.tick()
+        (to_alice,) = alice.drain()
+        assert sorted(eid for eid, _f in to_alice.enters) == sorted([e2, e3])
+        assert core.stats()["active"] == 2
+
     def test_ping_answered_immediately(self):
         world, core, e1, _ = make_pair()
         client = TestClient(core, "alice", avatar=e1)

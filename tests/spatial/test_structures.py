@@ -203,6 +203,17 @@ class TestGridSpecifics:
         g.insert(2, -11.0, -7.0)
         assert sorted(g.query_circle(-11.5, -7.0, 1.0)) == [1, 2]
 
+    def test_bulk_build_skips_non_finite_points(self):
+        g = UniformGrid.from_points(
+            5.0, {1: (1.0, 1.0), 2: (math.inf, 0.0), 3: (0.0, math.nan),
+                  4: (1e308, 0.0), 5: (-2.0, 3.0)}
+        )
+        assert sorted(g.all_ids()) == [1, 4, 5]
+        assert sorted(g.query_circle(0.0, 0.0, 10.0)) == [1, 5]
+        # 1e308 / 1e-9 overflows: no finite cell index, so no cell.
+        tiny = UniformGrid.from_points(1e-9, {1: (1e308, 0.0), 2: (0.5, 0.5)})
+        assert tiny.all_ids() == [2]
+
 
 class TestQuadTreeSpecifics:
     def test_out_of_bounds_insert_raises(self):
@@ -303,3 +314,61 @@ def test_circle_query_property(name, pts, cx, cy, r):
     for i, (x, y) in pts.items():
         s.insert(i, x, y)
     assert sorted(s.query_circle(cx, cy, r)) == brute_circle(pts, cx, cy, r)
+
+
+def scan_order(grid, points, cx, cy, r):
+    """Brute-force circle hits in the grid's documented scan order.
+
+    The window is scanned column by column (cell x, then cell y) when it
+    has no more cells than the grid has occupied; otherwise occupied
+    cells go in the order they were first filled.  Within a cell, ids
+    go in insertion order.
+    """
+    size = grid.cell_size
+
+    def cell(x, y):
+        return (math.floor(x / size), math.floor(y / size))
+
+    first_filled: dict[tuple[int, int], int] = {}
+    for x, y in points.values():
+        first_filled.setdefault(cell(x, y), len(first_filled))
+    (x0, y0), (x1, y1) = cell(cx - r, cy - r), cell(cx + r, cy + r)
+    windowed = (x1 - x0 + 1) * (y1 - y0 + 1) <= len(first_filled)
+    rank = {item_id: n for n, item_id in enumerate(points)}
+    hits = [
+        i for i, (x, y) in points.items()
+        if (x - cx) * (x - cx) + (y - cy) * (y - cy) <= r * r
+    ]
+
+    def key(item_id):
+        c = cell(*points[item_id])
+        return (c if windowed else first_filled[c], rank[item_id])
+
+    return sorted(hits, key=key)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pts=st.dictionaries(
+        st.integers(0, 100),
+        st.tuples(_coord.map(lambda v: v - 50), _coord.map(lambda v: v - 50)),
+        max_size=60,
+    ),
+    cx=_coord.map(lambda v: v - 50),
+    cy=_coord.map(lambda v: v - 50),
+    r=st.integers(0, 61_440).map(lambda q: q / 1024.0),
+    cell=st.sampled_from([0.5, 3.0, 7.0, 25.0]),
+)
+def test_grid_bulk_build_and_circle_scan_order(pts, cx, cy, r, cell):
+    bulk = UniformGrid.from_points(cell, pts)
+    looped = UniformGrid(cell)
+    for i, (x, y) in pts.items():
+        looped.insert(i, x, y)
+    assert bulk.cell_population() == looped.cell_population()
+    assert list(bulk.cell_population()) == list(looped.cell_population())
+    assert bulk.all_ids() == looped.all_ids()
+    assert list(bulk.pairs_within(r)) == list(looped.pairs_within(r))
+    for grid in (bulk, looped):
+        hits = grid.query_circle(cx, cy, r)
+        assert hits == scan_order(grid, pts, cx, cy, r)
+        assert sorted(hits) == brute_circle(pts, cx, cy, r)
