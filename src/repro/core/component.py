@@ -85,7 +85,10 @@ class FieldDef:
         """Check ``value`` against this field, returning the coerced value.
 
         Ints are accepted for float fields (and coerced); everything else
-        must match exactly.  Raises :class:`SchemaError` on mismatch.
+        must match exactly.  Subclasses of ``float`` and ``int`` (say
+        ``numpy.float64`` or an ``IntEnum``) come back as the exact base
+        type, so a stored value never depends on how the caller built it.
+        Raises :class:`SchemaError` on mismatch.
         """
         if value is None:
             if self.nullable:
@@ -99,7 +102,7 @@ class FieldDef:
             if isinstance(value, float):
                 if math.isnan(value):
                     raise SchemaError(f"field {self.name!r}: NaN is not storable")
-                return value
+                return value if type(value) is float else float(value)
             raise SchemaError(
                 f"field {self.name!r} expects float, got {type(value).__name__}"
             )
@@ -109,7 +112,7 @@ class FieldDef:
                     f"field {self.name!r} expects {self.type_name}, "
                     f"got {type(value).__name__}"
                 )
-            return value
+            return value if type(value) is int else int(value)
         if not isinstance(value, self.py_type):
             raise SchemaError(
                 f"field {self.name!r} expects {self.type_name}, "

@@ -175,7 +175,7 @@ class QueryPlan:
         for comp, fields, batch_fn in self._filters(world):
             if not ids:
                 break
-            _, columns = world.table(comp).batch_rows(fields, ids, copy=False)
+            _, columns = world.table(comp).batch_rows(fields, ids)
             keep = batch_fn(columns, range(len(ids)))
             if len(keep) != len(ids):
                 ids = [ids[i] for i in keep]

@@ -162,12 +162,11 @@ class BatchSystem(System):
     """Set-at-a-time system operating on whole columns.
 
     ``fn(world, entity_ids, columns, dt)`` receives a tuple of entity ids
-    and a mapping ``{"Component.field": sequence_of_values}`` (zero-copy
-    memoryviews over the typed column buffers when available, else
-    materialized lists) and returns a mapping ``{"Component.field":
-    sequence_of_new_values}`` (or None for a read-only system).  Writes
-    are applied through the table layer in one pass so observers still
-    see per-entity deltas.
+    and a mapping ``{"Component.field": list_of_values}`` (private
+    copies: mutating them leaves the table untouched) and returns a
+    mapping ``{"Component.field": sequence_of_new_values}`` (or None for
+    a read-only system).  Writes are applied through the table layer in
+    one pass so observers still see per-entity deltas.
 
     ``writes`` declares the column refs ``fn`` may return; a write outside
     the declaration raises :class:`QueryError`.
@@ -213,12 +212,11 @@ class BatchSystem(System):
     def gather_columns(
         self, world: "GameWorld"
     ) -> tuple[tuple[int, ...], dict[str, Sequence[Any]]]:
-        """Resolve the entity set and read columns (zero-copy when possible).
+        """Resolve the entity set and read its columns as private lists.
 
-        Columns come from ``batch_rows(copy=False)``: when the signature
-        ids match a table's own row order (the all-entities steady state)
-        the values are memoryview slices straight over the typed buffers,
-        with no per-row gather at all.
+        Columns come from ``batch_rows``: when the signature ids match a
+        table's own row order (the all-entities steady state) each column
+        is one list copy, with no per-row gather at all.
         """
         ids = tuple(self._signature_query(world).execute().ids)
         by_comp: dict[str, list[str]] = {}
@@ -226,7 +224,7 @@ class BatchSystem(System):
             by_comp.setdefault(comp, []).append(fld)
         columns: dict[str, Sequence[Any]] = {}
         for comp, flds in by_comp.items():
-            _ids, cols = world.table(comp).batch_rows(flds, ids, copy=False)
+            _ids, cols = world.table(comp).batch_rows(flds, ids)
             for fld in flds:
                 columns[f"{comp}.{fld}"] = cols[fld]
         return ids, columns

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Any, Callable, Iterable, Iterator, KeysView, Mapping, Sequence
 
 from repro.core.component import ComponentSchema
-from repro.core.columns import TypedColumn, make_column, scatter_cells
+from repro.core.columns import scatter_cells
 from repro.errors import ComponentMissingError, DuplicateComponentError, SchemaError
 
 #: Observer callback signature: (kind, entity_id, field_values) where kind is
@@ -82,19 +82,16 @@ class ComponentTable:
     """Columnar storage for all instances of one component type.
 
     The table behaves like a relation keyed by entity id.  All reads hand
-    out copies or immutable views; mutation goes through :meth:`insert`,
+    out copies or tuples; mutation goes through :meth:`insert`,
     :meth:`update`, and :meth:`delete` so observers always see every delta.
     """
 
     def __init__(self, schema: ComponentSchema):
         self.schema = schema
-        # Numeric non-nullable fields live on typed buffers (array('d') /
-        # array('q') or numpy, see repro.core.columns); the rest stay
-        # plain object lists.  Both satisfy the same list protocol, so
-        # every mutation path below is backend-oblivious.
-        self._columns: dict[str, Any] = {
-            name: make_column(schema.field(name))
-            for name in schema.field_names
+        # One plain list per field, slot-parallel to _entities (see
+        # repro.core.columns).
+        self._columns: dict[str, list] = {
+            name: [] for name in schema.field_names
         }
         self._entities: list[int] = []
         self._slot_of: dict[int, int] = {}
@@ -262,10 +259,7 @@ class ComponentTable:
                     old.append(prev)
         else:
             if interested:
-                prev = (
-                    col.gather(slots) if isinstance(col, TypedColumn)
-                    else [col[s] for s in slots]
-                )
+                prev = list(map(col.__getitem__, slots))
             pos = scatter_cells(col, slots, new)
             old = [prev[i] for i in pos] if interested else ()
         self.version += len(pos)
@@ -364,8 +358,6 @@ class ComponentTable:
                     f"entity {exc.args[0]} has no component {self.schema.name}"
                 ) from None
         try:
-            if isinstance(col, TypedColumn):
-                return col.gather([slot_of[eid] for eid in entity_ids])
             return [col[slot_of[eid]] for eid in entity_ids]
         except KeyError as exc:
             raise ComponentMissingError(
@@ -386,62 +378,21 @@ class ComponentTable:
                 self._cell(field, slot, eid)
                 for slot, eid in enumerate(self._entities)
             )
-        return col.snapshot() if isinstance(col, TypedColumn) else tuple(col)
+        return tuple(col)
 
     def columns(self, fields: Iterable[str]) -> dict[str, tuple[Any, ...]]:
         """Snapshot of several columns at once (a batch read for systems)."""
         return {f: self.column(f) for f in fields}
 
-    def column_view(self, field: str) -> "memoryview | tuple[Any, ...]":
-        """Zero-copy read-only view of a typed column, in row order.
-
-        Typed (packed numeric) columns return a ``memoryview`` over the
-        live buffer: O(1), no materialization, and O(1) to slice — the
-        read primitive of the chunked batch kernels.  The view is *live*
-        for in-place cell writes but snapshot-stable across row growth
-        (copy-on-grow).  Object-list columns fall back to an immutable
-        tuple snapshot, so callers can treat the result uniformly as a
-        read-only sequence.
-        """
-        try:
-            col = self._columns[field]
-        except KeyError:
-            raise SchemaError(
-                f"component {self.schema.name!r} has no field {field!r}"
-            ) from None
-        a = self._alter
-        if a is not None and field in a.affected and a.unmigrated:
-            return self.column(field)
-        if isinstance(col, TypedColumn):
-            view = col.view()
-            if view is not None:
-                return view
-            return col.snapshot()
-        return tuple(col)
-
-    def typed_fields(self) -> tuple[str, ...]:
-        """Fields currently packed on typed buffers (not demoted)."""
-        a = self._alter
-        return tuple(
-            f
-            for f, col in self._columns.items()
-            if isinstance(col, TypedColumn)
-            and not col.demoted
-            and (a is None or f not in a.affected)
-        )
-
-    def _ids_in_row_order(self, ids: "list[int] | tuple[int, ...]") -> bool:
-        ents = self._entities
-        if len(ids) != len(ents):
-            return False
-        return all(a == b for a, b in zip(ids, ents))
+    def column_view(self, field: str) -> tuple[Any, ...]:
+        """Read-only column in row order: the tuple snapshot :meth:`column` returns."""
+        return self.column(field)
 
     def batch_rows(
         self,
         fields: Iterable[str],
         entity_ids: Iterable[int] | None = None,
-        copy: bool = True,
-    ) -> tuple[list[int], dict[str, Any]]:
+    ) -> tuple[list[int], dict[str, list]]:
         """Gather parallel column slices for set-at-a-time execution.
 
         Returns ``(ids, columns)`` where ``columns[f][i]`` is field ``f``
@@ -451,12 +402,11 @@ class ComponentTable:
         batch execution path: ``Plan.execute_batch`` filters these slices
         with compiled vector functions instead of building a dict per row.
 
-        With ``copy=False`` the columns of typed numeric fields come back
-        as zero-copy read-only memoryviews whenever the requested ids are
-        the table's own row order (``entity_ids=None``, or an id sequence
-        that matches it — the common all-entities case).  Callers must
-        treat them as frozen sequences and not hold them across
-        structural mutations.
+        Every column is a private list: the caller may mutate it without
+        touching the table, and later writes do not show through.  When
+        the ids are the table's own row order (``entity_ids=None``, or an
+        id sequence that matches it — the common all-entities case) each
+        column is one C-level list copy instead of a per-row gather.
         """
         field_list = list(fields)
         for f in field_list:
@@ -464,39 +414,11 @@ class ComponentTable:
                 raise SchemaError(
                     f"component {self.schema.name!r} has no field {f!r}"
                 )
+        ids = list(self._entities) if entity_ids is None else list(entity_ids)
         a = self._alter
-        if (
-            a is not None
-            and a.unmigrated
-            and any(f in a.affected for f in field_list)
-        ):
-            ids = list(self._entities) if entity_ids is None else list(entity_ids)
-            slot_of = self._slot_of
-            try:
-                slots = [slot_of[eid] for eid in ids]
-            except KeyError as exc:
-                raise ComponentMissingError(
-                    f"entity {exc.args[0]} has no component {self.schema.name}"
-                ) from None
-            out: dict[str, Any] = {}
-            for f in field_list:
-                if f in a.affected:
-                    out[f] = [
-                        self._cell(f, s, e) for s, e in zip(slots, ids)
-                    ]
-                else:
-                    col = self._columns[f]
-                    if isinstance(col, TypedColumn):
-                        out[f] = col.gather(slots)
-                    else:
-                        out[f] = [col[s] for s in slots]
-            return ids, out
-        if entity_ids is None:
-            ids = list(self._entities)
-            return ids, self._row_order_columns(field_list, copy)
-        ids = list(entity_ids)
-        if not copy and self._ids_in_row_order(ids):
-            return ids, self._row_order_columns(field_list, copy)
+        dual = a.affected if a is not None and a.unmigrated else ()
+        if ids == self._entities and not any(f in dual for f in field_list):
+            return ids, {f: list(self._columns[f]) for f in field_list}
         slot_of = self._slot_of
         try:
             slots = [slot_of[eid] for eid in ids]
@@ -504,25 +426,13 @@ class ComponentTable:
             raise ComponentMissingError(
                 f"entity {exc.args[0]} has no component {self.schema.name}"
             ) from None
-        out: dict[str, Any] = {}
+        out: dict[str, list] = {}
         for f in field_list:
-            col = self._columns[f]
-            if isinstance(col, TypedColumn):
-                out[f] = col.gather(slots)
+            if f in dual:
+                out[f] = [self._cell(f, s, e) for s, e in zip(slots, ids)]
             else:
-                out[f] = [col[s] for s in slots]
+                out[f] = list(map(self._columns[f].__getitem__, slots))
         return ids, out
-
-    def _row_order_columns(self, field_list: list[str], copy: bool) -> dict[str, Any]:
-        out: dict[str, Any] = {}
-        for f in field_list:
-            col = self._columns[f]
-            if isinstance(col, TypedColumn):
-                view = None if copy else col.view()
-                out[f] = col.tolist() if view is None else view
-            else:
-                out[f] = list(col)
-        return out
 
     def rows(self) -> Iterator[tuple[int, dict[str, Any]]]:
         """Iterate ``(entity_id, row_copy)`` over a snapshot of the table.
@@ -542,10 +452,7 @@ class ComponentTable:
 
     def _rows_fast(self) -> Iterator[tuple[int, dict[str, Any]]]:
         ids = tuple(self._entities)
-        snap = {
-            f: (col.snapshot() if isinstance(col, TypedColumn) else tuple(col))
-            for f, col in self._columns.items()
-        }
+        snap = {f: tuple(col) for f, col in self._columns.items()}
         for slot, entity_id in enumerate(ids):
             yield entity_id, {f: snap[f][slot] for f in snap}
 
@@ -609,19 +516,12 @@ class ComponentTable:
         retained: dict[str, list] = {}
         renamed: dict[str, str] = {}
 
-        def _retain(name: str) -> list:
-            col = self._columns[name]
-            vals = col.tolist() if isinstance(col, TypedColumn) else list(col)
-            retained[name] = vals
-            return vals
+        def _retain(name: str) -> None:
+            retained[name] = list(self._columns[name])
 
         def _new_col(name: str) -> None:
-            fdef = new_schema.field(name)
-            col = make_column(fdef)
-            ph = placeholder_for(fdef)
-            for _ in range(nrows):
-                col.append(ph)
-            self._columns[name] = col
+            ph = placeholder_for(new_schema.field(name))
+            self._columns[name] = [ph] * nrows
 
         for step in steps:
             if isinstance(step, AddColumn):

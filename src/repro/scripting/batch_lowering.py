@@ -361,11 +361,9 @@ class LoweredProgram:
                         loop.component, Compare(fname, op, value)
                     )
                     ids = query.execute(mode="batch").ids
-                    _, work = table.batch_rows(loop.read_fields, ids,
-                                               copy=False)
+                    _, work = table.batch_rows(loop.read_fields, ids)
                 else:
-                    ids, work = table.batch_rows(loop.read_fields, None,
-                                                 copy=False)
+                    ids, work = table.batch_rows(loop.read_fields)
                 if loop.uses_id:
                     work["id"] = ids
                 written: dict[str, list] = {}

@@ -1,249 +1,236 @@
-"""Property tests: column storage backends are observationally identical.
+"""The column store: one plain list per component field.
 
-The typed-column plane (``repro.core.columns``) may store a numeric
-field on stdlib ``array`` buffers, numpy arrays, or plain object lists.
-Which backend is active must never change observable values — snapshots,
-``state_hash``, demotion behavior, and error semantics all agree.  These
-tests drive random operation sequences through a table under every
-available backend and compare results pairwise, then pin the view and
-demotion contracts directly.
+``ComponentTable`` keeps every field in a python list.  These tests pin
+the three contracts that store owes its callers: any python int round
+trips, whatever its width; every stored value has the field's exact
+scalar type, however the caller built it; and every read that hands a
+column out is a snapshot the caller cannot write through and later
+writes do not change.
 """
 
+from array import array
+from enum import IntEnum
+
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.core import GameWorld, schema
-from repro.core.columns import (
-    ArrayColumn,
-    TypedColumn,
-    default_backend,
-    make_column,
-    set_default_backend,
-)
 from repro.core.table import ComponentTable
+from repro.schema import RetypeColumn
 
 try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
+    import numpy
+    from numpy import float64 as _Float
 except ImportError:  # pragma: no cover - numpy-less host
-    HAVE_NUMPY = False
+    numpy = None
 
-BACKENDS = ["array", "object"] + (["numpy"] if HAVE_NUMPY else [])
+    class _Float(float):
+        """A float subclass, standing in for ``numpy.float64``."""
 
 
-@pytest.fixture(autouse=True)
-def _restore_backend():
-    yield
-    set_default_backend(None)
+# The packed buffers a caller may hold a column in before writing it.
+PACKED = ["array"] + (["numpy"] if numpy is not None else [])
+SOURCES = PACKED + ["object"]
+
+
+def _packed(source, typecode, values):
+    """``values`` held as ``source``: an ``array.array``, a numpy array or a list."""
+    if source == "array":
+        return array(typecode, values)
+    if source == "numpy":
+        return numpy.array(values, dtype=typecode)
+    return list(values)
+
+
+class Kind(IntEnum):
+    SCOUT = 3
+    TANK = 7
 
 
 def _schema():
     return schema("Thing", x="float", n=("int", 0), tag=("str", "t"))
 
 
-_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
-_ints = st.integers(-(2**40), 2**40)
-_big_ints = st.integers(2**64, 2**70)  # force int64 demotion
-
-_ops = st.lists(
-    st.one_of(
-        st.tuples(st.just("insert"), st.integers(0, 24), _floats, _ints),
-        st.tuples(st.just("update"), st.integers(0, 24), _floats,
-                  st.one_of(_ints, _big_ints)),
-        st.tuples(st.just("delete"), st.integers(0, 24)),
-        st.tuples(st.just("bulk"), _floats),
-    ),
-    max_size=40,
-)
-
-
-def _apply_ops(backend, ops):
-    """Run one op sequence under ``backend``; return observable state."""
-    set_default_backend(backend)
-    try:
-        table = ComponentTable(_schema())
-    finally:
-        set_default_backend(None)
-    live = []
-    for op in ops:
-        kind = op[0]
-        if kind == "insert":
-            eid = op[1]
-            if eid not in table:
-                table.insert(eid, {"x": op[2], "n": op[3]})
-                live.append(eid)
-        elif kind == "update" and live:
-            table.update(live[op[1] % len(live)], {"x": op[2], "n": op[3]})
-        elif kind == "delete" and live:
-            table.delete(live.pop(op[1] % len(live)))
-        elif kind == "bulk" and live:
-            ids = list(table.entity_ids)
-            table.update_column(
-                "x", ids, [v + op[1] for v in table.column("x")]
-            )
-    return (
-        table.entity_ids,
-        table.columns(["x", "n", "tag"]),
-        {eid: table.get(eid) for eid in table.entity_ids},
-    )
-
-
-class TestBackendEquivalence:
-    @settings(max_examples=60, deadline=None)
-    @given(ops=_ops)
-    def test_all_backends_agree(self, ops):
-        results = [_apply_ops(b, ops) for b in BACKENDS]
-        for other in results[1:]:
-            assert other == results[0]
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_world_state_hash_matches_object_backend(self, backend):
-        def build(name):
-            set_default_backend(name)
-            try:
-                w = GameWorld()
-                w.catalog.define(
-                    schema("P", x="float", y="float", hp=("int", 10))
-                )
-            finally:
-                set_default_backend(None)
-            for i in range(50):
-                w.spawn(P={"x": i * 0.5, "y": -i * 0.25, "hp": i})
-            w.add_batch_system(
-                "move",
-                reads=["P.x"],
-                fn=lambda w_, ids, cols, dt: {
-                    "P.x": [x + 1.5 for x in cols["P.x"]]
-                },
-                writes=["P.x"],
-            )
-            w.run(5)
-            return w.state_hash()
-
-        assert build(backend) == build("object")
+class TestBigInts:
+    def test_values_beyond_64_bits_round_trip(self):
+        world = GameWorld()
+        world.catalog.define(schema("V", n="int", m=("int", 0)))
+        a = world.spawn(V={"n": 2**70})
+        b = world.spawn(V={"n": -(2**63) - 1})
+        assert world.get_field(a, "V", "n") == 2**70
+        world.set(b, "V", n=-(2**80))
+        assert world.get_field(b, "V", "n") == -(2**80)
+        assert world.set_column("V", "m", [a, b], [2**64, 2**100]) == 2
+        assert world.table("V").column_view("m") == (2**64, 2**100)
+        handle = world.catalog.alter("V", [RetypeColumn("n", "float")], batch_rows=1)
+        while not handle.done:
+            world.tick()
+        for eid, n in ((a, 2**70), (b, -(2**80))):
+            got = world.get_field(eid, "V", "n")
+            assert type(got) is float and got == float(n)
 
 
 class TestDemotion:
-    @pytest.mark.parametrize("backend", [b for b in BACKENDS if b != "object"])
-    def test_int64_overflow_demotes_in_place(self, backend):
-        set_default_backend(backend)
-        table = ComponentTable(_schema())
-        table.insert(1, {"x": 0.0, "n": 5})
-        col = table._columns["n"]
-        assert isinstance(col, TypedColumn) and not col.demoted
-        table.update(1, {"n": 2**70})
-        assert col.demoted
-        assert table.get_field(1, "n") == 2**70
-        assert "n" not in table.typed_fields()
-        # the demoted column keeps behaving like a list
-        table.insert(2, {"x": 1.0, "n": -(2**80)})
-        assert table.get_field(2, "n") == -(2**80)
+    """An int column loaded from a packed int64 buffer, then given wider ints.
 
-    @pytest.mark.parametrize("backend", [b for b in BACKENDS if b != "object"])
-    def test_bulk_replace_overflow_demotes(self, backend):
-        set_default_backend(backend)
+    The list store has no 64-bit limit to demote at: crossing it changes
+    neither the stored values, nor their type, nor the other fields.
+    """
+
+    def _loaded(self, source):
         table = ComponentTable(_schema())
-        for i in range(4):
-            table.insert(i, {"x": 0.0, "n": i})
-        table.update_column("n", list(table.entity_ids), [2**70] * 4)
-        assert table._columns["n"].demoted
+        ids = list(range(4))
+        for eid in ids:
+            table.insert(eid, {"x": 0.0, "n": 0})
+        bounds = _packed(source, "q", [2**63 - 1, -(2**63), 1, 2])
+        assert table.update_column("n", ids, bounds.tolist()) == 4
+        xs = _packed(source, "d", [0.5, 1, 2, 3])
+        assert table.update_column("x", ids, xs) == 4
+        return table, ids
+
+    @pytest.mark.parametrize("source", PACKED)
+    def test_int64_overflow_demotes_in_place(self, source):
+        table, _ids = self._loaded(source)
+        table.update(2, {"n": 2**70})
+        assert table.get_field(2, "n") == 2**70
+        table.insert(4, {"x": 1.0, "n": -(2**80)})
+        assert table.get_field(4, "n") == -(2**80)
+        assert table.column("n") == (2**63 - 1, -(2**63), 2**70, 2, -(2**80))
+        assert table.column("x") == (0.5, 1.0, 2.0, 3.0, 1.0)
+        assert all(type(x) is float for x in table.column("x"))
+        assert all(type(n) is int for n in table.column("n"))
+
+    @pytest.mark.parametrize("source", PACKED)
+    def test_bulk_replace_overflow_demotes(self, source):
+        table, ids = self._loaded(source)
+        assert table.update_column("n", ids, [2**70] * 4) == 4
         assert table.column("n") == (2**70,) * 4
+        assert table.update_column("n", ids[:2], [2**63 - 1, -(2**100)]) == 2
+        assert table.column("n") == (2**63 - 1, -(2**100), 2**70, 2**70)
+        assert all(type(v) is int for v in table.column("n"))
+
+
+def _unit_world(f, k):
+    """A world written through spawn, set and set_column with scalars built by ``f``/``k``."""
+    world = GameWorld()
+    world.catalog.define(schema("Unit", x="float", kind=("int", 0), ref=("entity", 0)))
+    ids = [
+        world.spawn(Unit={"x": f(0.5 * i), "kind": k(Kind.SCOUT), "ref": k(Kind.TANK)})
+        for i in range(4)
+    ]
+    world.set(ids[0], "Unit", x=f(9.25), kind=k(Kind.TANK))
+    world.set_column("Unit", "x", ids[1:], [f(1.0), f(2.0), f(-3.5)])
+    world.set_column("Unit", "kind", ids[2:], [k(Kind.TANK), k(Kind.SCOUT)])
+    return world, ids
+
+
+class TestExactScalarTypes:
+    def test_subclass_values_store_as_exact_float_and_int(self):
+        world, ids = _unit_world(_Float, lambda v: v)
+        for eid in ids:
+            assert type(world.get_field(eid, "Unit", "x")) is float
+            assert type(world.get_field(eid, "Unit", "kind")) is int
+            assert type(world.get_field(eid, "Unit", "ref")) is int
+        plain, _ = _unit_world(float, int)
+        assert world.state_hash() == plain.state_hash()
 
 
 class TestViews:
-    @pytest.mark.parametrize("backend", [b for b in BACKENDS if b != "object"])
-    def test_view_is_zero_copy_and_live(self, backend):
-        set_default_backend(backend)
-        table = ComponentTable(_schema())
-        for i in range(8):
-            table.insert(i, {"x": float(i), "n": i})
-        view = table.column_view("x")
-        assert isinstance(view, memoryview)
-        assert view.readonly
-        assert view[3] == 3.0
-        table.update(3, {"x": 99.0})  # in-place cell write shows through
-        assert view[3] == 99.0
-
-    @pytest.mark.parametrize("backend", [b for b in BACKENDS if b != "object"])
-    def test_view_snapshot_stable_across_growth(self, backend):
-        set_default_backend(backend)
-        table = ComponentTable(_schema())
-        for i in range(4):
-            table.insert(i, {"x": float(i), "n": i})
-        view = table.column_view("x")
-        before = list(view)
-        for i in range(4, 40):  # force at least one buffer growth
-            table.insert(i, {"x": float(i), "n": i})
-        assert list(view) == before  # copy-on-grow: old view, old buffer
-        assert table.column("x") == tuple(float(i) for i in range(40))
-
-    @pytest.mark.parametrize("backend", [b for b in BACKENDS if b != "object"])
-    def test_demoted_column_view_falls_back_to_snapshot(self, backend):
-        set_default_backend(backend)
-        table = ComponentTable(_schema())
-        table.insert(1, {"x": 0.0, "n": 2**70})
-        assert table._columns["n"].demoted
-        got = table.column_view("n")
-        assert got == (2**70,)
-
     def test_object_columns_snapshot(self):
-        set_default_backend("object")
         table = ComponentTable(_schema())
         table.insert(1, {"x": 1.0, "n": 2, "tag": "hi"})
         assert table.column_view("tag") == ("hi",)
         assert table.column_view("x") == (1.0,)
 
-
-class TestReplace:
-    def test_length_mismatch_rejected(self):
-        col = ArrayColumn("d", [1.0, 2.0])
-        with pytest.raises(ValueError):
-            col.replace([1.0])
-
-    @pytest.mark.parametrize("backend", [b for b in BACKENDS if b != "object"])
-    def test_replace_writes_through_live_views(self, backend):
-        set_default_backend(backend)
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_view_snapshot_stable_across_growth(self, source):
+        xs = _packed(source, "d", range(40))
         table = ComponentTable(_schema())
-        ids = []
-        for i in range(6):
-            table.insert(i, {"x": float(i), "n": i})
-            ids.append(i)
+        for i in range(4):
+            table.insert(i, {"x": xs[i], "n": i})
         view = table.column_view("x")
-        table.update_column("x", ids, [v + 10.0 for v in table.column("x")])
-        assert list(view) == [i + 10.0 for i in range(6)]
+        column = table.column("n")
+        _ids, rows = table.batch_rows(["x"])
+        before = tuple(float(i) for i in range(4))
+        for i in range(4, 40):  # inserts grow every column
+            table.insert(i, {"x": xs[i], "n": i})
+        table.update(2, {"x": -1.0})
+        table.update_column("n", range(4), [7] * 4)
+        assert view == before
+        assert column == (0, 1, 2, 3)
+        assert rows["x"] == list(before)
+        assert table.column("x")[:4] == (0.0, 1.0, -1.0, 3.0)
+        assert len(table.column("x")) == 40
+        assert all(type(x) is float for x in table.column("x"))
+
+    @pytest.mark.parametrize("source", PACKED)
+    def test_demoted_column_view_falls_back_to_snapshot(self, source):
+        table = ComponentTable(_schema())
+        table.insert(1, {"x": 0.0, "n": 2**70})
+        for i, n in enumerate(_packed(source, "q", [2**63 - 1, -(2**63)]).tolist()):
+            table.insert(2 + i, {"x": 0.0, "n": n})
+        view = table.column_view("n")
+        assert view == (2**70, 2**63 - 1, -(2**63))
+        assert isinstance(view, tuple)
+        table.update(1, {"n": 0})
+        table.insert(4, {"x": 0.0, "n": -(2**80)})
+        assert view == (2**70, 2**63 - 1, -(2**63))
+        assert table.column_view("n") == (0, 2**63 - 1, -(2**63), -(2**80))
 
 
-class TestBackendSelection:
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            set_default_backend("rocksdb")
+def _table_world():
+    world = GameWorld()
+    world.catalog.define(_schema())
+    ids = [world.spawn(Thing={"x": float(i), "n": i}) for i in range(6)]
+    return world, ids
 
-    def test_forced_backend_wins(self):
-        set_default_backend("array")
-        assert default_backend() == "array"
-        fdef = _schema().field("x")
-        assert isinstance(make_column(fdef), ArrayColumn)
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not importable")
-    def test_auto_prefers_numpy(self):
-        set_default_backend(None)
-        import os
+def _scribble(seq):
+    """Try to overwrite, grow and empty ``seq``; a tuple must refuse."""
+    if isinstance(seq, tuple):
+        with pytest.raises(TypeError):
+            seq[0] = -1  # type: ignore[index]
+        return
+    seq[0] = -1
+    seq.append(-2)
+    seq.clear()
 
-        if os.environ.get("REPRO_COLUMN_BACKEND", "auto") == "auto":
-            assert default_backend() == "numpy"
 
-    def test_nullable_and_str_fields_stay_object_lists(self):
-        from repro.core.component import ComponentSchema, FieldDef
+def _state(world):
+    table = world.table("Thing")
+    return (table.columns(["x", "n", "tag"]), table.version, world.state_hash())
 
-        set_default_backend("array")
-        s = ComponentSchema(
-            "Ref",
-            [
-                FieldDef("target", "entity", nullable=True),
-                FieldDef("name", "str", default="x"),
-            ],
-        )
-        table = ComponentTable(s)
-        assert not isinstance(table._columns["name"], TypedColumn)
-        assert not isinstance(table._columns["target"], TypedColumn)
+
+class TestReadsAreSnapshots:
+    def test_mutating_returned_columns_leaves_the_table_alone(self):
+        world, ids = _table_world()
+        table = world.table("Thing")
+        before = _state(world)
+        for field in ("x", "n", "tag"):
+            _scribble(table.column(field))
+            _scribble(table.column_view(field))
+        for entity_ids in (None, ids, ids[::-1], ids[1:3]):
+            _ids, cols = table.batch_rows(["x", "n", "tag"], entity_ids)
+            for col in cols.values():
+                _scribble(col)
+        assert _state(world) == before
+
+    def test_batch_system_inputs_are_private(self):
+        def scribbler(world, ids, cols, dt):
+            for col in cols.values():
+                _scribble(col)
+
+        def reader(world, ids, cols, dt):
+            return None
+
+        states = []
+        for fn in (scribbler, reader):
+            world, _ids = _table_world()
+            table = world.table("Thing")
+            before = (table.columns(["x", "n", "tag"]), table.version)
+            world.add_batch_system(
+                "s", reads=["Thing.x", "Thing.n", "Thing.tag"], fn=fn
+            )
+            world.run(2)
+            assert (table.columns(["x", "n", "tag"]), table.version) == before
+            states.append(_state(world))
+        assert states[0] == states[1]

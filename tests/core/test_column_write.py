@@ -4,14 +4,15 @@
 column, compares it against the stored values, scatters the changed
 cells and only then tells observers; ``GameWorld.set_column`` hands each
 change hook one column event of the changed cells.  These tests pin that
-path against the per-cell reference it replaced, on every column
-backend; pin validate-before-write (a bad value writes nothing and tells
+path against the per-cell reference it replaced; pin
+validate-before-write (a bad value writes nothing and tells
 no one); and pin that a gateway fed column events streams exactly the
 deltas it streams when fed per-cell row events.
 """
 
 import math
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,35 +20,32 @@ from hypothesis import given, settings, strategies as st
 from repro.cluster import ClusterCoordinator, StaticGridPlacement
 from repro.consistency import StaticGridPartitioner
 from repro.core import GameWorld, schema
-from repro.core.columns import set_default_backend
 from repro.core.component import FieldDef
 from repro.errors import ComponentMissingError, SchemaError
 from repro.gateway.streams import ClientStreamState, ClusterView, InterestStream
 from repro.spatial import AABB
 
 try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
+    import numpy
 except ImportError:  # pragma: no cover - numpy-less host
-    HAVE_NUMPY = False
+    numpy = None
 
-BACKENDS = ["array", "object"] + (["numpy"] if HAVE_NUMPY else [])
-
-
-@pytest.fixture(autouse=True)
-def _restore_backend():
-    yield
-    set_default_backend(None)
+# Where a caller may hold a float column before writing it.
+SOURCES = ["array", "object"] + (["numpy"] if numpy is not None else [])
 
 
-def _world(backend, cell_schema):
-    set_default_backend(backend)
-    try:
-        world = GameWorld()
-        world.catalog.define(cell_schema)
-    finally:
-        set_default_backend(None)
+def _floats_from(source, values):
+    """``values`` as an ``array('d')``, a float64 numpy array or a plain list."""
+    if source == "array":
+        return array("d", values)
+    if source == "numpy":
+        return numpy.array(values, dtype=numpy.float64)
+    return list(values)
+
+
+def _world(cell_schema):
+    world = GameWorld()
+    world.catalog.define(cell_schema)
     return world
 
 
@@ -76,7 +74,7 @@ def _per_cell(world, component, field, ids, values):
 
 _floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
 _small_ints = st.integers(-50, 50)
-_big_ints = st.integers(2**64, 2**70)  # beyond int64: demotes mid-column
+_big_ints = st.integers(2**64, 2**70)  # beyond int64
 
 
 @st.composite
@@ -91,7 +89,6 @@ def _scenario(draw):
         value = st.one_of(_small_ints, _big_ints, st.just(0))
     width = draw(st.integers(0, 16))
     return {
-        "backend": draw(st.sampled_from(BACKENDS)),
         "field": field,
         "rows": rows,
         "deletes": deletes,
@@ -103,7 +100,7 @@ def _scenario(draw):
 
 
 def _build(sc):
-    world = _world(sc["backend"], schema("Cell", x="float", n=("int", 0)))
+    world = _world(schema("Cell", x="float", n=("int", 0)))
     for i in range(sc["rows"]):
         world.spawn(Cell={"x": float(i % 3), "n": i % 3})
     for d in sc["deletes"]:
@@ -138,7 +135,6 @@ def _state(world, field):
     index = world.index_manager("Cell").sorted_index(field)
     return {
         "cells": [repr(v) for v in table.column(field)],  # -0.0 != 0.0 here
-        "typed": table.typed_fields(),
         "version": table.version,
         "index": None if index is None else index.ordered_ids(),
     }
@@ -176,27 +172,34 @@ class TestUpdateColumnEquivalence:
                 table.entity_ids, key=lambda e: (table.get_field(e, field), e)
             )
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_table_count_matches_event(self, backend):
-        world = _world(backend, schema("Cell", x="float"))
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_table_count_matches_event(self, source):
+        world = _world(schema("Cell", x="float"))
         ids = [world.spawn(Cell={"x": 0.0}) for _ in range(4)]
         table = world.table("Cell")
-        assert table.update_column("x", ids, [0, 1, 0.0, 2]) == 2
-        assert table.write_column("x", ids, [0.0, 1.0, 5.0, 2.0]) == ([ids[2]], [5.0])
+        values = _floats_from(source, [0, 1, 0, 2])
+        if source == "object":
+            values = [0, 1, 0.0, 2]  # ints in a float column are coerced
+        assert table.update_column("x", ids, values) == 2
+        ids_out, values_out = table.write_column(
+            "x", ids, _floats_from(source, [0.0, 1.0, 5.0, 2.0])
+        )
+        assert (ids_out, values_out) == ([ids[2]], [5.0])
+        assert type(values_out[0]) is float
         # Pairs beyond the shorter sequence are ignored, as zip would.
-        assert table.update_column("x", ids, [9.0]) == 1
-        assert table.update_column("x", ids[:1], [9.0, 7.0]) == 0
+        assert table.update_column("x", ids, _floats_from(source, [9.0])) == 1
+        assert table.update_column("x", ids[:1], _floats_from(source, [9.0, 7.0])) == 0
         assert table.column("x") == (9.0, 1.0, 5.0, 2.0)
+        assert all(type(x) is float for x in table.column("x"))
 
 
 # -- validate before write ----------------------------------------------------------
 
 
 class TestValidateBeforeWrite:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("reverse", [False, True], ids=["row", "reversed"])
-    def test_bad_value_writes_nothing_and_tells_no_one(self, backend, reverse):
-        world = _world(backend, schema("Cell", v="float"))
+    def test_bad_value_writes_nothing_and_tells_no_one(self, reverse):
+        world = _world(schema("Cell", v="float"))
         ids = [world.spawn(Cell={"v": 0.0}) for _ in range(5)]
         world.index_manager("Cell").create_sorted_index("v")
         log = _ColumnLog()
@@ -211,14 +214,15 @@ class TestValidateBeforeWrite:
         assert index.range(0.5, None) == []
         assert (log.rows, log.columns) == ([], [])
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_missing_entity_writes_nothing(self, backend):
-        world = _world(backend, schema("Cell", v="float"))
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_missing_entity_writes_nothing(self, source):
+        world = _world(schema("Cell", v="float"))
         ids = [world.spawn(Cell={"v": 0.0}) for _ in range(3)]
         table = world.table("Cell")
         version = table.version
+        values = _floats_from(source, [1.0, 2.0, 3.0])
         with pytest.raises(ComponentMissingError, match="entity 9999 "):
-            table.update_column("v", [ids[0], 9999, ids[2]], [1.0, 2.0, 3.0])
+            table.update_column("v", [ids[0], 9999, ids[2]], values)
         assert table.column("v") == (0.0, 0.0, 0.0)
         assert table.version == version
 

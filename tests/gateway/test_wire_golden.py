@@ -10,8 +10,7 @@ A change that *means* to alter the wire must say so and re-pin it.
 
 Resume tokens are the only non-deterministic bytes the gateway writes
 (CSPRNG by default), so the session manager's ``token_factory`` is
-pinned here.  Run on every column backend (the CI numpy leg runs this
-file with the numpy backend available and forced).
+pinned here.
 """
 
 import hashlib

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import GameWorld, schema
-from repro.core.columns import set_default_backend
 from repro.schema import AddColumn, DropColumn, RenameColumn, RetypeColumn
 
 try:
@@ -184,12 +183,6 @@ class TestMixedVersionTicksProperty:
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not importable")
 class TestNumpyRetypeBitExact:
-    @pytest.fixture(autouse=True)
-    def _numpy_backend(self):
-        set_default_backend("numpy")
-        yield
-        set_default_backend(None)
-
     def test_int_to_float_is_bit_exact(self):
         import numpy as np
 
@@ -202,21 +195,4 @@ class TestNumpyRetypeBitExact:
             world.tick()
         for eid, v in zip(ids, values):
             got = world.get_field(eid, "V", "n")
-            assert got == np.float64(v) == float(v)
-
-    def test_backend_agrees_with_object_columns(self):
-        def run():
-            world = GameWorld()
-            world.catalog.define(schema("V", n="int"))
-            for v in (3, 2**40, -(2**40), 12345):
-                world.spawn(V={"n": v})
-            h = world.catalog.alter(
-                "V", [RetypeColumn("n", "float")], batch_rows=1
-            )
-            while not h.done:
-                world.tick()
-            return world.state_hash()
-
-        numpy_hash = run()
-        set_default_backend("object")
-        assert run() == numpy_hash
+            assert type(got) is float and got == np.float64(v) == float(v)
