@@ -33,17 +33,20 @@ class EntityAllocator:
 
     Freed slots go to a free list; reallocation bumps the generation so
     stale ids referencing the old incarnation are detectable in O(1).
+    The free list is a dict used as an ordered set: ``allocate`` pops
+    the most recently freed slot, and ``adopt`` takes any slot out of it
+    in O(1).
     """
 
     def __init__(self) -> None:
         self._generations: list[int] = []
-        self._free: list[int] = []
+        self._free: dict[int, None] = {}
         self._live: set[int] = set()
 
     def allocate(self) -> int:
         """Allocate a fresh entity id."""
         if self._free:
-            slot = self._free.pop()
+            slot, _ = self._free.popitem()
         else:
             slot = len(self._generations)
             self._generations.append(0)
@@ -63,7 +66,7 @@ class EntityAllocator:
             raise UnknownEntityError(f"entity id {entity_id} is already live")
         slot, gen = unpack_id(entity_id)
         while len(self._generations) <= slot:
-            self._free.append(len(self._generations))
+            self._free[len(self._generations)] = None
             self._generations.append(0)
         # While an entity occupies a slot, ``_generations[slot]`` holds
         # its generation, so occupancy is one O(1) membership probe.
@@ -72,8 +75,7 @@ class EntityAllocator:
                 f"slot {slot} already holds a live entity of another generation"
             )
         self._generations[slot] = gen
-        if slot in self._free:
-            self._free.remove(slot)
+        self._free.pop(slot, None)
         self._live.add(entity_id)
 
     def free(self, entity_id: int) -> None:
@@ -82,7 +84,7 @@ class EntityAllocator:
         slot, _gen = unpack_id(entity_id)
         self._live.discard(entity_id)
         self._generations[slot] = (self._generations[slot] + 1) & _GEN_MASK
-        self._free.append(slot)
+        self._free[slot] = None
 
     def is_live(self, entity_id: int) -> bool:
         """True when the id refers to a currently-live entity."""

@@ -523,9 +523,9 @@ class GameWorld:
             self._allocator._generations[slot] = gen
             self._allocator._live.add(eid)
             used_slots.add(slot)
-        self._allocator._free = [
+        self._allocator._free = dict.fromkeys(
             s for s in range(max_slot + 1) if s not in used_slots
-        ]
+        )
         for eid in entities:
             self._components_of[eid] = set()
             self._emit_change("spawn", eid)

@@ -35,6 +35,15 @@ class Lease:
     expires: int
 
 
+def _lease(row: dict) -> Lease:
+    return Lease(
+        key=row["lease_key"],
+        owner=row["owner"],
+        token=row["token"],
+        expires=row["expires"],
+    )
+
+
 class LeaseTable:
     """Acquire / renew / release / reclaim over the durable lease rows."""
 
@@ -115,45 +124,31 @@ class LeaseTable:
         rows = self.store.engine.execute(
             "SELECT * FROM leases WHERE lease_key = ?", (key,)
         )
-        if not rows:
-            return None
-        r = rows[0]
-        return Lease(
-            key=r["lease_key"],
-            owner=r["owner"],
-            token=r["token"],
-            expires=r["expires"],
-        )
+        return _lease(rows[0]) if rows else None
 
     def inflight(self, now: int) -> list[Lease]:
-        """All live (unexpired) leases — the crashed-worker radar's input."""
+        """All live (unexpired) leases — the crashed-worker radar's input.
+
+        In the order their keys were leased: a renewal keeps its place,
+        a key released and leased again moves to the end.
+        """
         rows = self.store.engine.execute(
-            "SELECT * FROM leases WHERE expires > ?", (now,)
+            "SELECT * FROM leases WHERE expires > ? ORDER BY rowid",
+            (now,),
         )
-        return [
-            Lease(
-                key=r["lease_key"],
-                owner=r["owner"],
-                token=r["token"],
-                expires=r["expires"],
-            )
-            for r in rows
-        ]
+        return [_lease(r) for r in rows]
 
     def expired(self, now: int) -> list[Lease]:
-        """Lease rows whose expiry has passed: dead workers' leftovers."""
+        """Lease rows whose expiry has passed: dead workers' leftovers.
+
+        Same order as :meth:`inflight`; :meth:`reclaim_expired` hands
+        out fresh tokens in it.
+        """
         rows = self.store.engine.execute(
-            "SELECT * FROM leases WHERE expires <= ?", (now,)
+            "SELECT * FROM leases WHERE expires <= ? ORDER BY rowid",
+            (now,),
         )
-        return [
-            Lease(
-                key=r["lease_key"],
-                owner=r["owner"],
-                token=r["token"],
-                expires=r["expires"],
-            )
-            for r in rows
-        ]
+        return [_lease(r) for r in rows]
 
     def reclaim_expired(
         self, now: int, owner: str = "coordinator", ttl: int = 0

@@ -4,8 +4,9 @@
     server crashes."
 
 :class:`DurableStore` is the node-local half of the serving tier.  It
-pairs the :class:`~repro.persistence.sqlbridge.MiniSQL` engine (the
-serving state a unit of work reads and CAS-updates) with a
+pairs the :class:`~repro.persistence.sqlbridge.SQLEngine` (an
+in-memory SQLite database: the serving state a unit of work reads and
+CAS-updates) with a
 :class:`~repro.persistence.wal.WriteAheadLog` of *redo records* — the
 WAL flush is the durability point, and the SQL tables are merely the
 replayable projection of the log.  Three record kinds flow through it:
@@ -40,7 +41,7 @@ from typing import Any, Callable
 
 from repro.errors import DurableError
 from repro.obs.hub import Observability, resolve_obs
-from repro.persistence.sqlbridge import MiniSQL
+from repro.persistence.sqlbridge import SQLEngine
 from repro.persistence.wal import WriteAheadLog
 
 
@@ -74,7 +75,7 @@ class DurableStore:
         self.wal = WriteAheadLog(group_commit=group_commit).bind_obs(
             self.obs, wal=name
         )
-        self.engine = MiniSQL()
+        self.engine = SQLEngine()
         self._create_tables()
         self.commit_seq = 0
         self.outbox_seq = 0
@@ -94,23 +95,24 @@ class DurableStore:
 
     def _create_tables(self) -> None:
         self.engine.execute(
-            "CREATE TABLE entities "
-            "(entity INTEGER PRIMARY KEY, body TEXT, row_version INTEGER)"
+            "CREATE TABLE entities (entity INTEGER PRIMARY KEY, "
+            "body TEXT, row_version INTEGER) STRICT"
         )
         self.engine.execute(
             "CREATE TABLE outbox (dedup TEXT PRIMARY KEY, seq INTEGER, "
             "entity INTEGER, event TEXT, evkey TEXT, body TEXT, "
-            "dispatched INTEGER)"
+            "dispatched INTEGER) STRICT"
         )
-        # The drain looks rows up by seq and by dispatched flag; indexed,
-        # both cost O(batch) whatever the (never-pruned) table size.
+        # The drain reads pending rows in seq order and marks them by
+        # seq; indexed, both cost O(batch) whatever the (never-pruned)
+        # table size, and the pending count reads the covering index.
         self.engine.execute("CREATE INDEX outbox_seq ON outbox (seq)")
         self.engine.execute(
-            "CREATE INDEX outbox_dispatched ON outbox (dispatched)"
+            "CREATE INDEX outbox_dispatched ON outbox (dispatched, seq)"
         )
         self.engine.execute(
             "CREATE TABLE leases (lease_key TEXT PRIMARY KEY, owner TEXT, "
-            "token INTEGER, expires INTEGER)"
+            "token INTEGER, expires INTEGER) STRICT"
         )
 
     # -- failpoints (crash-matrix tests) ------------------------------------------
@@ -236,7 +238,7 @@ class DurableStore:
     def outbox_pending(self) -> int:
         """Undispatched outbox rows (the drain-lag gauge)."""
         rows = self.engine.execute(
-            "SELECT COUNT (*) FROM outbox WHERE dispatched = 0"
+            "SELECT COUNT(*) AS count FROM outbox WHERE dispatched = 0"
         )
         return rows[0]["count"]
 
@@ -323,7 +325,8 @@ class DurableStore:
         :meth:`recover` rebuilds the projection from the durable log.
         """
         lost = self.wal.crash()
-        self.engine = MiniSQL()  # memory is gone
+        self.engine.close()
+        self.engine = SQLEngine()  # memory is gone
         self.crashed = True
         return lost
 
@@ -336,7 +339,8 @@ class DurableStore:
         """
         # Not servable until the whole log has replayed cleanly.
         self.crashed = True
-        self.engine = MiniSQL()
+        self.engine.close()
+        self.engine = SQLEngine()
         self._create_tables()
         self.commit_seq = 0
         self.outbox_seq = 0
@@ -413,7 +417,6 @@ class DurableStore:
             "entities": 0 if self.crashed else self.entity_count(),
             "fence": self.fence,
             "recoveries": self.recoveries,
-            "rows_examined": self.engine.rows_examined,
         }
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -190,7 +190,7 @@ class MigrationError(PersistenceError):
 
 
 class SQLError(PersistenceError):
-    """The miniature SQL engine rejected a statement."""
+    """The SQL engine rejected a statement."""
 
 
 # ---------------------------------------------------------------------------

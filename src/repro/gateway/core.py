@@ -353,11 +353,7 @@ class GatewayCore:
         """
         dedup = f"{entity}:{event}:{key}"
         now = self.source.tick_count()
-        active = self.sessions.active()
-        targets = (
-            active if broadcast
-            else [s for s in active if s.avatar == entity]
-        )
+        targets = self.sessions.active(None if broadcast else entity)
         if not targets:
             self.events_dropped += 1
             return 0

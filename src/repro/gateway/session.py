@@ -15,6 +15,7 @@ auth, and a real credential check slots in without touching the rest.
 from __future__ import annotations
 
 import secrets
+from operator import attrgetter
 from typing import Any, Callable
 
 from repro.errors import GatewayError
@@ -25,6 +26,8 @@ from repro.net.protocol import WIRE_VERSION
 
 #: States a session moves through, in order.
 HANDSHAKE, ACTIVE, DETACHED, CLOSED = "handshake", "active", "detached", "closed"
+
+_sid_of = attrgetter("sid")
 
 
 def default_auth(client: str, token: str) -> bool:
@@ -258,12 +261,19 @@ class SessionManager:
         except KeyError:
             raise GatewayError(f"unknown session {sid!r}") from None
 
-    def active(self) -> list[Session]:
-        """Sessions currently attached to a connection, in sid order."""
-        return [
-            s for _sid, s in sorted(self.sessions.items())
-            if s.state == ACTIVE
+    def active(self, avatar: int | None = None) -> list[Session]:
+        """Sessions currently attached to a connection, in sid order.
+
+        With ``avatar``, only the sessions playing that entity: they are
+        picked before the sort, so a targeted event sorts a handful of
+        sessions, not all of them.
+        """
+        chosen = [
+            s for s in self.sessions.values()
+            if s.state == ACTIVE and (avatar is None or s.avatar == avatar)
         ]
+        chosen.sort(key=_sid_of)
+        return chosen
 
     def __len__(self) -> int:
         return len(self.sessions)

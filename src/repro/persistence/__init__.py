@@ -1,5 +1,5 @@
 """Persistence tier: WAL, in-memory DB, checkpoint policies, recovery,
-blob codecs, schema migrations, and the mini-SQL backing store."""
+blob codecs, schema migrations, and the SQL backing store."""
 
 from repro.persistence.blob import (
     BlobCodec,
@@ -36,7 +36,7 @@ from repro.persistence.migration import (
     VersionedTable,
 )
 from repro.persistence.recovery import RecoveryReport, recover, verify_recovery
-from repro.persistence.sqlbridge import MiniSQL, SQLBackingStore
+from repro.persistence.sqlbridge import SQLBackingStore, SQLEngine
 from repro.persistence.wal import WALRecord, WriteAheadLog
 from repro.persistence.worldbridge import WorldPersistence, recover_world
 
@@ -71,8 +71,8 @@ __all__ = [
     "RecoveryReport",
     "recover",
     "verify_recovery",
-    "MiniSQL",
     "SQLBackingStore",
+    "SQLEngine",
     "WALRecord",
     "WriteAheadLog",
     "WorldPersistence",

@@ -79,6 +79,25 @@ class TestReclaimAndFencing:
         reclaimed = table.reclaim_expired(now=5)
         assert [lease.key for lease in reclaimed] == ["tick:0"]
 
+    def test_reclaim_hands_out_tokens_in_lease_order(self, store, table):
+        # Keys leased z, a, m; z renewed (keeps its place); a released
+        # and leased again (moves to the end).
+        z = table.acquire("z", "w1", ttl=2, now=0)
+        a = table.acquire("a", "w2", ttl=2, now=0)
+        table.acquire("m", "w3", ttl=2, now=0)
+        table.renew(z, ttl=2, now=1)
+        table.release(a)
+        table.acquire("a", "w4", ttl=1, now=1)
+        assert [lease.key for lease in table.inflight(now=1)] == ["z", "m", "a"]
+        store.wal.flush()
+        store.crash()
+        store.recover()  # replay rebuilds the same order
+        assert [lease.key for lease in table.expired(now=9)] == ["z", "m", "a"]
+        reclaimed = table.reclaim_expired(now=9)
+        assert [(lease.key, lease.token) for lease in reclaimed] == [
+            ("z", 5), ("m", 6), ("a", 7),
+        ]
+
     def test_reclaim_emits_span(self):
         from repro.obs import Observability
 

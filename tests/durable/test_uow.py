@@ -7,6 +7,7 @@ from repro.errors import (
     ConflictError,
     DurableError,
     RetriesExhaustedError,
+    SQLError,
 )
 
 
@@ -189,3 +190,31 @@ class TestEventsRideTheCommit:
         uow.commit()
         names = [s.name for s in obs.recorder.spans()]
         assert "uow.commit" in names
+
+
+class TestProjectionIsTyped:
+    @staticmethod
+    def strict_tables(store):
+        rows = store.engine.execute("PRAGMA table_list")
+        return {
+            r["name"]: r["strict"] for r in rows
+            if r["schema"] == "main" and not r["name"].startswith("sqlite_")
+        }
+
+    def test_every_projection_table_is_strict_after_recovery_too(self, store):
+        expected = {"entities": 1, "outbox": 1, "leases": 1}
+        assert self.strict_tables(store) == expected
+        store.crash()
+        store.recover()
+        assert self.strict_tables(store) == expected
+
+    def test_wrong_typed_value_is_refused_before_it_lands(self, store):
+        uow = SqlUnitOfWork(store)
+        uow.put(1, {"gold": 1})
+        uow.commit()
+        with pytest.raises(SQLError, match="cannot store TEXT"):
+            store.engine.execute(
+                "UPDATE entities SET row_version = ? WHERE entity = ?",
+                ("2; DELETE FROM entities", 1),
+            )
+        assert store.entity_version(1) == 1
