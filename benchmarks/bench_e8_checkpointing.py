@@ -105,8 +105,8 @@ def run_experiment(ticks=12_000, crashes=8, seed=29) -> BenchTable:
 
 
 def run_backend_experiment(ticks=4000, seed=3) -> BenchTable:
-    """Ablation: the same checkpoint stream through three backends."""
-    from repro.persistence import PagedBackingStore, SQLBackingStore
+    """Ablation: the same checkpoint stream through two backends."""
+    from repro.persistence import SQLBackingStore
 
     trace = generate_action_trace(TraceConfig(ticks=ticks, seed=seed))
     table = BenchTable(
@@ -117,8 +117,6 @@ def run_backend_experiment(ticks=4000, seed=3) -> BenchTable:
         ("json_snapshot", SnapshotStore, lambda s: f"{s.bytes_written} B"),
         ("sqlite", SQLBackingStore,
          lambda s: f"{s.engine.statements_executed} stmts"),
-        ("paged(4KiB)", PagedBackingStore,
-         lambda s: f"{s.pool.pager.physical_writes} page writes"),
     ]
     for label, factory, physical in backends:
         wal = WriteAheadLog(group_commit=10 ** 9, auto_flush=False)

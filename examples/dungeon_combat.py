@@ -1,5 +1,4 @@
-"""Dungeon combat: navmesh pathing, scripted triggers, aggro management,
-and an XML-defined raid UI.
+"""Dungeon combat: navmesh pathing and aggro management.
 
 A party (tank / healer / two DPS) fights a boss in a dungeon whose
 walkable space is a navigation mesh with designer annotations.  Combat
@@ -11,9 +10,7 @@ Run:  python examples/dungeon_combat.py
 """
 
 from repro.consistency import AggroBrain, Participant, Role
-from repro.content import ContentDatabase
 from repro.core import GameWorld, schema
-from repro.scripting import TriggerManager
 from repro.spatial import grid_to_navmesh
 from repro.workloads import jitter_positions
 
@@ -28,19 +25,6 @@ DUNGEON = [
     "#........#",
     "##########",
 ]
-
-RAID_UI = """
-<Ui>
-  <Frame name="raid" width="220" height="120" anchor="TOPLEFT">
-    <Bar name="boss_hp" width="200" height="14" anchor="TOP" y="6"/>
-    <Label name="target" width="200" height="14" anchor="CENTER" text="target"/>
-    <Button name="taunt" width="60" height="18" anchor="BOTTOMLEFT" x="6" y="-6">
-      <Scripts><onClick>do_taunt</onClick></Scripts>
-    </Button>
-  </Frame>
-</Ui>
-"""
-
 
 def main() -> None:
     # --------------------------------------------------------------- the map
@@ -66,26 +50,6 @@ def main() -> None:
     world.catalog.define(schema("Health", hp=("int", 100), max_hp=("int", 100)))
     boss = world.spawn(Health={"hp": 1000, "max_hp": 1000})
 
-    content = ContentDatabase()
-    ui = content.load_ui("raid", RAID_UI)
-    missing = ui.validate_handlers({"do_taunt"})
-    print(f"\nUI loaded: {len(ui.widgets())} widgets, "
-          f"dangling handlers: {missing or 'none'}")
-    rects = ui.layout(800, 600)
-    print(f"boss hp bar at ({rects['boss_hp'].x:.0f}, {rects['boss_hp'].y:.0f})")
-
-    # --------------------------------------------------------------- triggers
-    tm = TriggerManager(world)
-    tm.add(
-        "enrage",
-        "combat.boss_hp",
-        condition='event["data"]["hp"] < 300',
-        action='emit("combat.enrage", none)',
-        once=True,
-    )
-    enraged = []
-    world.events.subscribe("combat.enrage", lambda e: enraged.append(e.tick))
-
     # ----------------------------------------------------------------- aggro
     brain = AggroBrain()
     tank, healer, rogue, mage = 1, 2, 3, 4
@@ -98,7 +62,7 @@ def main() -> None:
     import random
 
     rng = random.Random(11)
-    print("\ntick | boss hp | boss target | note")
+    print("\ntick | boss hp | boss target")
     for tick in range(1, 121):
         world.tick()
         # tank holds threat, dps burns, healer heals
@@ -109,16 +73,14 @@ def main() -> None:
             brain.on_heal(healer, 25)
         hp = world.get_field(boss, "Health", "hp") - 8
         world.set(boss, "Health", hp=hp)
-        world.emit("combat.boss_hp", {"hp": hp})
-        if tick % 30 == 0 or (enraged and enraged[-1] == tick):
-            note = "ENRAGED!" if enraged and enraged[-1] == tick else ""
-            print(f"{tick:4d} | {hp:7d} | {brain.target_of(boss):11d} | {note}")
+        if tick % 30 == 0:
+            print(f"{tick:4d} | {hp:7d} | {brain.target_of(boss):11d}")
         if hp <= 0:
             break
 
     # the tank held aggro despite lower dps — that's the 3x role multiplier
     assert brain.target_of(boss) == tank
-    print(f"\nboss stayed on the tank: ✓  (enrage fired at tick {enraged[0]})")
+    print("\nboss stayed on the tank: ✓")
 
     # ------------------------------------------- replica agreement (the point)
     positions = {tank: (0.0, 0.0), healer: (5.0, 5.0),

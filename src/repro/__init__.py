@@ -3,9 +3,9 @@
 A full reproduction of the system landscape described in *Database
 Research in Computer Games* (Demers, Gehrke, Koch, Sowell, White —
 SIGMOD 2009 tutorial): a declarative, indexed, transactional in-memory
-game database with a scripting language, content pipeline, spatial
-substrate, MMO consistency machinery, network simulation, and a
-persistence/checkpointing tier.
+game database with a scripting language, spatial substrate, MMO
+consistency machinery, network simulation, and a persistence/
+checkpointing tier.
 
 Quickstart::
 

@@ -44,6 +44,9 @@ from repro.obs.hub import Observability, resolve_obs
 from repro.persistence.sqlbridge import SQLEngine
 from repro.persistence.wal import WriteAheadLog
 
+#: The drain-lag gauge's read (the ``outbox_dispatched`` index covers it).
+OUTBOX_PENDING_SQL = "SELECT COUNT(*) FROM outbox WHERE dispatched = 0"
+
 
 class InjectedCrash(RuntimeError):
     """Raised by an armed failpoint; the crash-matrix tests' scalpel.
@@ -236,11 +239,8 @@ class DurableStore:
         return self.engine.execute(sql + " LIMIT ?", (int(limit),))
 
     def outbox_pending(self) -> int:
-        """Undispatched outbox rows (the drain-lag gauge)."""
-        rows = self.engine.execute(
-            "SELECT COUNT(*) AS count FROM outbox WHERE dispatched = 0"
-        )
-        return rows[0]["count"]
+        """Undispatched outbox rows (the drain-lag gauge); an uncounted read."""
+        return self.engine.query(OUTBOX_PENDING_SQL)[0][0]
 
     def mark_dispatched(self, seqs: list[int]) -> None:
         """Record sink hand-off for ``seqs``; lazily durable by design.

@@ -89,27 +89,6 @@ class BudgetExceededError(ScriptRuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Content pipeline errors
-# ---------------------------------------------------------------------------
-
-
-class ContentError(ReproError):
-    """Base class for content-pipeline failures."""
-
-
-class ValidationError(ContentError):
-    """Content data failed schema validation."""
-
-
-class TemplateError(ContentError):
-    """An entity template is malformed or has a broken inheritance chain."""
-
-
-class UISpecError(ContentError):
-    """An XML UI specification could not be parsed or validated."""
-
-
-# ---------------------------------------------------------------------------
 # Spatial errors
 # ---------------------------------------------------------------------------
 

@@ -17,13 +17,6 @@ from repro.persistence.checkpoint import (
     SnapshotStore,
 )
 from repro.persistence.memdb import Action, InMemoryGameDB
-from repro.persistence.pages import (
-    PAGE_SIZE,
-    BufferPool,
-    PagedBackingStore,
-    PagedRecordStore,
-    Pager,
-)
 from repro.persistence.migration import (
     AddColumn,
     DropColumn,
@@ -38,7 +31,6 @@ from repro.persistence.migration import (
 from repro.persistence.recovery import RecoveryReport, recover, verify_recovery
 from repro.persistence.sqlbridge import SQLBackingStore, SQLEngine
 from repro.persistence.wal import WALRecord, WriteAheadLog
-from repro.persistence.worldbridge import WorldPersistence, recover_world
 
 __all__ = [
     "BlobCodec",
@@ -54,11 +46,6 @@ __all__ = [
     "SnapshotStore",
     "Action",
     "InMemoryGameDB",
-    "PAGE_SIZE",
-    "BufferPool",
-    "PagedBackingStore",
-    "PagedRecordStore",
-    "Pager",
     "AddColumn",
     "DropColumn",
     "Migration",
@@ -75,6 +62,4 @@ __all__ = [
     "SQLEngine",
     "WALRecord",
     "WriteAheadLog",
-    "WorldPersistence",
-    "recover_world",
 ]

@@ -137,13 +137,6 @@ class InMemoryGameDB:
         row = t.get(key)
         return dict(row) if row is not None else None
 
-    def keys(self, table: str) -> list[Any]:
-        """All keys of a table."""
-        t = self._tables.get(table)
-        if t is None:
-            raise PersistenceError(f"no table {table!r}")
-        return sorted(t, key=repr)
-
     def rows(self, table: str) -> Iterator[tuple[Any, dict[str, Any]]]:
         """Iterate (key, row copy)."""
         t = self._tables.get(table)

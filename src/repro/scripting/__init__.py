@@ -1,25 +1,11 @@
 """GSL scripting substrate: language, interpreter, restrictions, cost
-analyzer, event triggers, and behavior trees."""
+analyzer, and batch lowering."""
 
 from repro.scripting.analyzer import (
     AnalysisReport,
     CostAnalyzer,
     Finding,
     analyze_source,
-)
-from repro.scripting.behavior import (
-    Action,
-    BehaviorNode,
-    BehaviorTree,
-    Blackboard,
-    Condition,
-    Inverter,
-    Repeat,
-    Selector,
-    Sequence,
-    Status,
-    Succeeder,
-    tree_from_dict,
 )
 from repro.scripting.batch_lowering import (
     LoweredLoop,
@@ -45,25 +31,12 @@ from repro.scripting.restrictions import (
 )
 from repro.scripting.script_system import ScriptSystem, add_script_system
 from repro.scripting.stdlib import build_stdlib
-from repro.scripting.triggers import Trigger, TriggerManager
 
 __all__ = [
     "AnalysisReport",
     "CostAnalyzer",
     "Finding",
     "analyze_source",
-    "Action",
-    "BehaviorNode",
-    "BehaviorTree",
-    "Blackboard",
-    "Condition",
-    "Inverter",
-    "Repeat",
-    "Selector",
-    "Sequence",
-    "Status",
-    "Succeeder",
-    "tree_from_dict",
     "LoweredLoop",
     "LoweredProgram",
     "lower_script",
@@ -85,6 +58,4 @@ __all__ = [
     "ScriptSystem",
     "add_script_system",
     "build_stdlib",
-    "Trigger",
-    "TriggerManager",
 ]

@@ -184,19 +184,34 @@ class TestOutboxPlan:
         dispatcher = OutboxDispatcher(store, RecordingSink(), batch=4)
         emit_n(store, 6)
         issued = statements(store, dispatcher.drain)
-        issued += statements(store, dispatcher.lag)
-        assert len(issued) == 1 + 4 + 1  # select, one mark per row, count
+        assert len(issued) == 1 + 4  # select, one mark per row
         plans = [plan(store, sql, params) for sql, params in issued]
         assert plans[0] == (
             "SEARCH outbox USING INDEX outbox_dispatched (dispatched=?)"
         )
-        assert set(plans[1:5]) == {
+        assert set(plans[1:]) == {
             "SEARCH outbox USING INDEX outbox_seq (seq=?)"
         }
-        assert plans[5] == (
+        # The gauge is an uncounted read, so it is planned from its text.
+        assert plan(store, store_module.OUTBOX_PENDING_SQL) == (
             "SEARCH outbox USING COVERING INDEX outbox_dispatched "
             "(dispatched=?)"
         )
+        assert dispatcher.lag() == 2
+
+
+class TestReadsArePure:
+    def test_gauges_and_stats_move_no_statement_counter(self):
+        store = DurableStore()
+        dispatcher = OutboxDispatcher(store, RecordingSink(), batch=4)
+        emit_n(store, 6)
+        dispatcher.drain()
+        before = store.engine.statements_executed
+        for _ in range(2):
+            assert store.stats()["outbox_pending"] == 2
+            assert dispatcher.lag() == 2
+            assert dispatcher.stats()["pending"] == 2
+        assert store.engine.statements_executed == before
 
 
 class TestIndexIsOnlyAPlan:

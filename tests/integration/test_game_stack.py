@@ -1,9 +1,8 @@
-"""Integration tests across the full stack: content -> world -> scripting
--> spatial -> persistence."""
+"""Integration tests across the full stack: world -> scripting -> spatial
+-> persistence."""
 
 import pytest
 
-from repro.content import ContentDatabase
 from repro.core import F, GameWorld, schema
 from repro.persistence import (
     Action,
@@ -15,14 +14,29 @@ from repro.persistence import (
     recover,
     verify_recovery,
 )
-from repro.scripting import CompiledScript, Interpreter, TriggerManager, build_stdlib
+from repro.scripting import CompiledScript, Interpreter, build_stdlib
 from repro.spatial import UniformGrid
 from tests.change_log import ChangeLog
 
 
+ORC = {
+    "Health": {"hp": 30, "max_hp": 30},
+    "Position": {"x": 0.0, "y": 0.0},
+    "Faction": {},
+}
+TROLL = {**ORC, "Health": {"hp": 60, "max_hp": 60}}
+
+
+def spawn(world, kind, **position):
+    """One monster of ``kind``, placed at ``position`` over its default."""
+    components = {name: dict(fields) for name, fields in kind.items()}
+    components["Position"].update(position)
+    return world.spawn(**components)
+
+
 @pytest.fixture
 def game():
-    """A small but complete game: content, templates, world, scripts."""
+    """A small but complete game: world, indexes, scripts."""
     world = GameWorld()
     world.catalog.define(schema("Position", x="float", y="float"))
     world.catalog.define(
@@ -31,58 +45,31 @@ def game():
     world.catalog.define(schema("Faction", name=("str", "hostile")))
     world.index_manager("Position").attach_spatial(UniformGrid(10.0))
     world.index_manager("Health").create_sorted_index("hp")
-
-    content = ContentDatabase()
-    content.load_xml_string(
-        "<Content>"
-        "<monster id='orc'><name>Orc</name><hp>30</hp></monster>"
-        "<monster id='troll'><name>Troll</name><hp>60</hp></monster>"
-        "</Content>"
-    )
-    content.load_templates({
-        "orc": {"components": {
-            "Health": {"hp": 30, "max_hp": 30},
-            "Position": {"x": 0.0, "y": 0.0},
-            "Faction": {},
-        }},
-        "troll": {"parent": "orc", "components": {
-            "Health": {"hp": 60, "max_hp": 60},
-        }},
-    })
-    content.finalize()
-    return world, content
+    return world
 
 
 class TestContentToWorld:
     def test_template_spawn_visible_to_queries(self, game):
-        world, content = game
+        world = game
         for i in range(5):
-            content.templates.instantiate(
-                world, "orc", overrides={"Position": {"x": float(i * 5)}}
-            )
-        content.templates.instantiate(world, "troll")
+            spawn(world, ORC, x=float(i * 5))
+        spawn(world, TROLL)
         weak = world.query("Health").where("Health", F.hp < 50).count()
         assert weak == 5
 
     def test_spatial_query_after_template_spawn(self, game):
-        world, content = game
-        near = content.templates.instantiate(
-            world, "orc", overrides={"Position": {"x": 1.0, "y": 1.0}}
-        )
-        content.templates.instantiate(
-            world, "orc", overrides={"Position": {"x": 90.0, "y": 90.0}}
-        )
+        world = game
+        near = spawn(world, ORC, x=1.0, y=1.0)
+        spawn(world, ORC, x=90.0, y=90.0)
         hits = world.query("Position").within(0, 0, 5).execute(mode="tuple").ids
         assert hits == [near]
 
 
 class TestScriptedCombatLoop:
     def test_script_system_drives_combat(self, game):
-        world, content = game
+        world = game
         for i in range(10):
-            content.templates.instantiate(
-                world, "orc", overrides={"Position": {"x": float(i)}}
-            )
+            spawn(world, ORC, x=float(i))
         interp = Interpreter(world, build_stdlib(world))
         poison = CompiledScript(
             'for e in entities("Health"):\n'
@@ -96,24 +83,10 @@ class TestScriptedCombatLoop:
         hps = {world.get_field(e, "Health", "hp") for e in world.entities()}
         assert hps == {15}
 
-    def test_trigger_chain_spawns_loot(self, game):
-        world, content = game
-        tm = TriggerManager(world)
-        tm.add(
-            "death_drops_loot",
-            "combat.death",
-            action='spawn("Faction", none)',
-        )
-        eid = content.templates.instantiate(world, "orc")
-        before = world.entity_count
-        world.emit("combat.death", source=eid)
-        world.events.flush_deferred()
-        assert world.entity_count == before + 1
-
     def test_aggregate_view_tracks_scripted_damage(self, game):
-        world, content = game
+        world = game
         for _ in range(4):
-            content.templates.instantiate(world, "orc")
+            spawn(world, ORC)
         avg = world.create_aggregate("Health", "avg", "hp")
         assert avg.value() == 30
         interp = Interpreter(world, build_stdlib(world))
@@ -126,14 +99,14 @@ class TestScriptedCombatLoop:
 
 class TestWorldPersistenceBridge:
     def test_world_changes_journal_and_recover(self, game):
-        world, content = game
+        world = game
         wal = WriteAheadLog(group_commit=1)
         db = InMemoryGameDB(wal)
         db.create_table("entities")
 
         log = ChangeLog()
         world.add_change_hook(log)
-        ids = [content.templates.instantiate(world, "orc") for _ in range(3)]
+        ids = [spawn(world, ORC) for _ in range(3)]
         for eid in ids:
             world.set(eid, "Health", hp=7)
         for op, entity_id, component, payload in log.events:
@@ -144,7 +117,6 @@ class TestWorldPersistenceBridge:
             assert recovered.get("entities", eid) == {"hp": 7}
 
     def test_checkpoint_cycle_through_sql(self, game):
-        world, _content = game
         wal = WriteAheadLog()
         db = InMemoryGameDB(wal)
         db.create_table("players")

@@ -128,7 +128,7 @@ class TestMemDB:
             db.put("chars", i, {"gold": i})
         assert db.row_count("chars") == 4
         assert db.row_count() == 4
-        assert db.keys("chars") == [0, 1, 2, 3]
+        assert [key for key, _row in db.rows("chars")] == [0, 1, 2, 3]
 
     def test_snapshot_restore_roundtrip(self, db):
         db.put("chars", 1, {"gold": 10})

@@ -82,7 +82,7 @@ class TestErrorHierarchy:
         leaf_errors = [
             errors.SchemaError, errors.QueryError, errors.ScriptError,
             errors.ParseError("x"), errors.LexError("x"),
-            errors.ContentError, errors.SpatialError, errors.NavMeshError,
+            errors.SpatialError, errors.NavMeshError,
             errors.TransactionError, errors.PersistenceError,
             errors.SQLError, errors.NetError, errors.MigrationError,
             errors.WALError, errors.RecoveryError,

@@ -10,7 +10,6 @@ PACKAGES = [
     "repro",
     "repro.core",
     "repro.scripting",
-    "repro.content",
     "repro.spatial",
     "repro.consistency",
     "repro.cluster",
